@@ -52,10 +52,6 @@ class ShrinkResult:
     probes: int                    # schedules executed during the search
     kept: int                      # probes that still failed
 
-    @property
-    def events_removed(self) -> int:
-        return len(self.original.events) - len(self.minimal.events)
-
     def summary(self) -> str:
         return (f"shrunk {len(self.original.events)} event(s) -> "
                 f"{len(self.minimal.events)} in {self.probes} probe(s); "

@@ -113,6 +113,3 @@ class Graph:
         for u, v, weight in self.edges():
             out.add_edge(u, v, weight)
         return out
-
-    def subgraph_weight(self, vertices: Iterable[Vertex]) -> int:
-        return sum(self._vertex_weight[v] for v in vertices)

@@ -14,7 +14,7 @@ from collections import deque
 
 from repro.graph.coarsen import coarsen
 from repro.graph.graph import Graph, Vertex
-from repro.graph.refine import cut_weight, rebalance, refine
+from repro.graph.refine import rebalance, refine
 
 Assignment = dict[Vertex, int]
 
@@ -113,7 +113,3 @@ class MultilevelPartitioner(Partitioner):
             refine(finer, assignment, k, self.imbalance_tolerance,
                    self.refine_passes)
         return assignment
-
-    def cut_of(self, graph: Graph, assignment: Assignment) -> int:
-        """Convenience: edge-cut weight of an assignment."""
-        return cut_weight(graph, assignment)

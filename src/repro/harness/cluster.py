@@ -37,13 +37,18 @@ from repro.resilience import RetryPolicy
 from repro.sim import Environment, LatencyRecorder, SeedStream
 from repro.smr import (ExecutionConfig, ExecutionModel,
                        KeyValueStateMachine, ParallelExecutionModel,
-                       SmrClient, SmrReplica, StateMachine)
+                       RecoveryHost, SmrClient, SmrReplica, StateMachine,
+                       recover_replica)
 from repro.ssmr import SsmrClient, SsmrServer, StaticOracle, StaticPartitionMap
 from repro.store import (DiskFarm, DurabilityConfig, attach_durability,
                          wipe_wal)
 from repro.store.durability import detach_durability
 
 SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
+
+#: The replica server class of each scheme.
+SERVER_CLASSES = {"smr": SmrReplica, "ssmr": SsmrServer,
+                  "dssmr": DssmrServer, "dynastar": DssmrServer}
 
 
 @dataclass
@@ -162,10 +167,6 @@ class Cluster:
         self.recovery_failures: list = []
         self.recovery_failure_hooks: list = []
 
-        self.servers: dict[str, object] = {}
-        self.oracles: list[OracleReplica] = []
-        self._build_servers()
-
         # Overload control (repro.qos): one admission controller and one
         # adaptive batcher per group, armed on the group's speaker (the
         # sequencer — the only process that sees client entries before
@@ -173,20 +174,21 @@ class Cluster:
         # by construction).
         self.qos_admission: dict[str, AdmissionController] = {}
         self.qos_batchers: dict[str, AdaptiveBatcher] = {}
-        if config.qos is not None:
-            for partition in self.partitions:
-                speaker = self.directory.speaker(partition)
-                self._attach_qos(partition, self.servers[speaker])
-            if self._dynamic:
-                speaker = self.directory.speaker(ORACLE_GROUP)
-                for oracle in self.oracles:
-                    if oracle.node.name == speaker:
-                        self._attach_qos(ORACLE_GROUP, oracle)
 
-        # Elastic reconfiguration (repro.reconfig): every partitioned
-        # server gets a checkpointer + checkpoint host (pure handler
-        # registration — inert until a reconfiguration or recovery runs);
-        # dynamic schemes also get the manager that drives joins/leaves.
+        self.servers: dict[str, object] = {}
+        self.oracles: list[OracleReplica] = []
+        for partition in self.partitions:
+            for name in self.directory.members(partition):
+                self.servers[name] = self._make_server(name)
+        if self._dynamic:
+            self.oracles = [self._make_server(name) for name
+                            in self.directory.members(ORACLE_GROUP)]
+
+        # Elastic reconfiguration (repro.reconfig): dynamic schemes get
+        # the manager that drives joins/leaves (the server factory gave
+        # every partitioned server its checkpointer + checkpoint host —
+        # pure handler registration, inert until a reconfiguration or
+        # recovery runs).
         self.reconfig: Optional[ReconfigurationManager] = None
         self.retired_partitions: tuple[str, ...] = ()
         if self._dynamic:
@@ -205,64 +207,64 @@ class Cluster:
 
     # -- construction ------------------------------------------------------
 
-    def _build_servers(self) -> None:
-        config = self.config
-        for partition in self.partitions:
-            for name in self.directory.members(partition):
-                self.servers[name] = self._make_server(partition, name)
-        if self._dynamic:
-            policy_factory = self._policy_factory()
-            for name in self.directory.members(ORACLE_GROUP):
-                oracle = OracleReplica(
-                    self.env, self.network, self.directory, name,
-                    self.partitions, policy=policy_factory(),
-                    oracle_issues_moves=config.scheme == "dynastar",
-                    async_repartition=config.async_repartition,
-                    dedup=config.dedup, tracer=self.tracer)
-                if self.disks is not None:
-                    attach_durability(oracle, self.disks)
-                self.oracles.append(oracle)
+    def _make_server(self, name: str, restore: bool = False):
+        """Build server or oracle replica ``name`` with every configured
+        feature.
 
-    def _make_server(self, partition: str, name: str):
+        The one construction site of every path — build, :meth:`grow`,
+        :meth:`recover_server`, :meth:`cold_restart_server`,
+        :meth:`power_restore` and the heal supervisor's replacements — so
+        each server carries exactly what the config asks for: the tracer
+        and dedup setting, a recovery host (smr) or checkpointer and
+        checkpoint host (partitioned schemes), the worker pool, the
+        write-ahead log and, on a group speaker, overload control.
+        ``restore=True`` builds the replacement of a crashed node: its
+        network slot is recovered, its executor gated until the caller
+        installs state, and its disk's previous WAL wiped (the caller has
+        read it, or a peer transfer supersedes it).
+        """
         config = self.config
-        state_machine = config.state_machine_factory()
-        if config.scheme == "smr":
-            server = SmrReplica(self.env, self.network, self.directory,
-                                partition, name, state_machine,
-                                execution=config.execution,
-                                dedup=config.dedup, tracer=self.tracer)
+        group = self.directory.group_of(name)
+        if restore:
+            self.network.recover(name)
+        if group == ORACLE_GROUP:
+            server = OracleReplica(
+                self.env, self.network, self.directory, name,
+                self.partitions, policy=self._policy_factory()(),
+                oracle_issues_moves=config.scheme == "dynastar",
+                async_repartition=config.async_repartition,
+                dedup=config.dedup, tracer=self.tracer)
         else:
-            if config.scheme == "ssmr":
-                server = SsmrServer(self.env, self.network, self.directory,
-                                    partition, name, state_machine,
-                                    execution=config.execution,
-                                    dedup=config.dedup, tracer=self.tracer)
+            server = SERVER_CLASSES[config.scheme](
+                self.env, self.network, self.directory, group, name,
+                config.state_machine_factory(), execution=config.execution,
+                dedup=config.dedup, tracer=self.tracer,
+                start_gate=self.env.event() if restore else None)
+            if config.scheme == "smr":
+                RecoveryHost(server)
             else:
-                server = DssmrServer(self.env, self.network, self.directory,
-                                     partition, name, state_machine,
-                                     execution=config.execution,
-                                     dedup=config.dedup, tracer=self.tracer)
-            PartitionCheckpointer(server)
-            CheckpointHost(server)
+                PartitionCheckpointer(server)
+                CheckpointHost(server)
+            if config.parallel is not None:
+                server.parallel = ParallelExecutionModel(self.env,
+                                                         config.parallel)
         if self.disks is not None:
+            if restore:
+                wipe_wal(self.disks.disk(name))
             attach_durability(server, self.disks)
-        if config.parallel is not None:
-            server.attach_parallel(
-                ParallelExecutionModel(self.env, config.parallel))
+        if config.qos is not None and name == self.directory.speaker(group):
+            qcfg = config.qos
+            admission = AdmissionController(qcfg, name=name)
+            batcher = AdaptiveBatcher(
+                min_window_ms=qcfg.min_batch_window_ms,
+                max_window_ms=qcfg.max_batch_window_ms,
+                depth_per_ms=qcfg.batch_depth_per_ms,
+                depth_fn=server.queue_depth)
+            server.attach_qos(admission, batcher=batcher,
+                              classify=classify_entry)
+            self.qos_admission[group] = admission
+            self.qos_batchers[group] = batcher
         return server
-
-    def _attach_qos(self, group: str, owner) -> None:
-        """Arm one group's overload control on its speaker replica."""
-        qcfg = self.config.qos
-        admission = AdmissionController(qcfg, name=owner.node.name)
-        batcher = AdaptiveBatcher(min_window_ms=qcfg.min_batch_window_ms,
-                                  max_window_ms=qcfg.max_batch_window_ms,
-                                  depth_per_ms=qcfg.batch_depth_per_ms,
-                                  depth_fn=owner.queue_depth)
-        owner.attach_qos(admission, batcher=batcher,
-                         classify=classify_entry)
-        self.qos_admission[group] = admission
-        self.qos_batchers[group] = batcher
 
     def _register_metrics(self) -> None:
         """Register the deployment's scrape-time gauges (see repro.obs).
@@ -480,14 +482,11 @@ class Cluster:
         base = len(self.servers)
         for offset, name in enumerate(members):
             self.topology.attach(name, (base + offset) % 2)
-            server = self._make_server(partition, name)
+            server = self._make_server(name)
             # Fresh groups start at the *current* configuration epoch:
             # they only deliver fences ordered after their creation.
             server.epoch = self.reconfig.epoch
             self.servers[name] = server
-        if self.config.qos is not None:
-            speaker = self.directory.speaker(partition)
-            self._attach_qos(partition, self.servers[speaker])
         ack = yield from self.reconfig.join(partition)
         self.partitions = tuple(list(self.partitions) + [partition])
         for client in self.clients:
@@ -522,39 +521,43 @@ class Cluster:
         return result
 
     def recover_server(self, name: str):
-        """Crash-recover partitioned replica ``name`` from a live peer.
+        """Crash-recover replica ``name`` from a live peer.
 
-        Installs a peer checkpoint and replays the log suffix (see
-        :mod:`repro.reconfig.recovery`); the replacement takes over the
+        Partitioned replicas install a peer checkpoint and replay the log
+        suffix (see :mod:`repro.reconfig.recovery`); classic SMR replicas
+        install a peer snapshot and backfill the log (see
+        :mod:`repro.smr.recovery`). The replacement takes over the
         crashed server's slot in :attr:`servers`. Every other live
-        member is handed over as a fallback source, and a transfer that
-        exhausts all of them lands in :attr:`recovery_failures` (and
-        the registered hooks) instead of hanging silently.
+        member is handed over as a fallback source, and a partition
+        transfer that exhausts all of them lands in
+        :attr:`recovery_failures` (and the registered hooks) instead of
+        hanging silently.
         """
         crashed = self.servers[name]
-        partition = crashed.partition
-        live = [member for member in self.directory.members(partition)
+        group = self.directory.group_of(name)
+        live = [member for member in self.directory.members(group)
                 if member != name
                 and not self.servers[member].node.crashed]
         if not live:
-            raise RuntimeError(f"no live peer left in {partition!r} to "
+            raise RuntimeError(f"no live peer left in {group!r} to "
                                f"recover {name} from (durable deployments "
                                "can cold_restart_server instead)")
         if self.disks is not None:
             detach_durability(crashed)
-        replacement = recover_partition_server(
-            crashed, self.servers[live[0]], fallback_peers=live[1:],
-            on_failure=self._on_recovery_failure)
-        if self.disks is not None:
-            # The on-disk history belongs to the previous incarnation;
-            # the transferred checkpoint supersedes it (and is persisted
-            # by the recovery install), so the stale WAL is wiped.
-            wipe_wal(self.disks.disk(name))
-            attach_durability(replacement, self.disks)
+        peer = self.servers[live[0]]
+
+        def rebuild():
+            return self._make_server(name, restore=True)
+
+        if self.config.scheme == "smr":
+            replacement = recover_replica(crashed, peer,
+                                          fallback_peers=live[1:],
+                                          rebuild=rebuild)
+        else:
+            replacement = recover_partition_server(
+                crashed, peer, fallback_peers=live[1:],
+                on_failure=self._on_recovery_failure, rebuild=rebuild)
         self.servers[name] = replacement
-        if (self.config.qos is not None
-                and name == self.directory.speaker(partition)):
-            self._attach_qos(partition, replacement)
         return replacement
 
     def _on_recovery_failure(self, recovery) -> None:
@@ -576,12 +579,7 @@ class Cluster:
             raise RuntimeError("cold restart needs a durable deployment "
                                "(set ClusterConfig.durability)")
         from repro.store.coldstart import cold_start_member
-        replacement = cold_start_member(self, name)
-        group = replacement.log.group
-        if (self.config.qos is not None
-                and name == self.directory.speaker(group)):
-            self._attach_qos(group, replacement)
-        return replacement
+        return cold_start_member(self, name)
 
     def power_fail(self) -> None:
         """Full-cluster power loss: every server and oracle crashes and
@@ -617,15 +615,6 @@ class Cluster:
             cold_start_partition(self, partition)
         if self._dynamic:
             cold_start_oracles(self)
-        if self.config.qos is not None:
-            for partition in self.partitions:
-                speaker = self.directory.speaker(partition)
-                self._attach_qos(partition, self.servers[speaker])
-            if self._dynamic:
-                speaker = self.directory.speaker(ORACLE_GROUP)
-                for oracle in self.oracles:
-                    if oracle.node.name == speaker:
-                        self._attach_qos(ORACLE_GROUP, oracle)
 
     # -- metrics access ------------------------------------------------------------
 

@@ -96,9 +96,9 @@ def crash_victim(cluster, victim: str) -> None:
 def recover_victim(cluster, victim: str):
     """Recover an amnesia-crashed server under the same name.
 
-    One helper for every scheme — classic SMR replicas come back through
-    peer-snapshot recovery, partitioned replicas through the
-    checkpoint-install path (:meth:`Cluster.recover_server`). Durable
+    One helper for every scheme (:meth:`Cluster.recover_server`) —
+    classic SMR replicas come back through peer-snapshot recovery,
+    partitioned replicas through the checkpoint-install path. Durable
     deployments (``ClusterConfig.durability``) restart from the victim's
     own disk instead, falling back to peers only for a gapped or
     corrupted local history (:mod:`repro.store.coldstart`). Returns the
@@ -106,20 +106,6 @@ def recover_victim(cluster, victim: str):
     """
     if getattr(cluster, "disks", None) is not None:
         return cluster.cold_restart_server(victim)
-    if cluster.config.scheme == "smr":
-        from repro.smr.recovery import RecoveryHost, recover_replica
-        crashed = cluster.servers[victim]
-        partition = crashed.group
-        live = [member for member in cluster.directory.members(partition)
-                if member != victim
-                and not cluster.servers[member].node.crashed]
-        for name in live:
-            peer = cluster.servers[name]
-            if getattr(peer, "recovery_host", None) is None:
-                peer.recovery_host = RecoveryHost(peer)
-        cluster.servers[victim] = recover_replica(
-            crashed, cluster.servers[live[0]], fallback_peers=live[1:])
-        return cluster.servers[victim]
     return cluster.recover_server(victim)
 
 

@@ -18,11 +18,27 @@ never recovered); those are excluded, everything else must hold.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Iterable
 
 
-def _freeze(store: dict) -> tuple:
-    return tuple(sorted(store.items()))
+def _digest(mapping: dict) -> str:
+    """Canonical-JSON digest of a store or location map.
+
+    Values may be unhashable (Chirper stores hold lists and dicts), so
+    states are compared by digest; keys are taken by their ``repr`` and
+    non-JSON values (sets) are canonicalised before hashing.
+    """
+    text = json.dumps({repr(key): value for key, value in mapping.items()},
+                      sort_keys=True, default=_canonical)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _canonical(value):
+    if isinstance(value, (set, frozenset)):
+        return sorted(value, key=repr)
+    return repr(value)
 
 
 def _live_members(cluster, partition: str, dead: frozenset) -> list[str]:
@@ -49,7 +65,7 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
     # Replica convergence within each live partition.
     for partition in cluster.partitions:
         live = _live_members(cluster, partition, dead)
-        stores = {_freeze(cluster.servers[name].store.snapshot())
+        stores = {_digest(cluster.servers[name].store.snapshot())
                   for name in live}
         if len(stores) > 1:
             violations.append(f"{partition} replicas diverge on state")
@@ -79,7 +95,7 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
                     violations.append(f"{key} present in both "
                                       f"{placement[key]} and {partition}")
                 placement[key] = partition
-        maps = {_freeze(oracle.location) for oracle in cluster.oracles}
+        maps = {_digest(oracle.location) for oracle in cluster.oracles}
         if len(maps) > 1:
             violations.append("oracle replicas diverge on the location map")
         oracle_map = cluster.oracles[0].location

@@ -152,9 +152,6 @@ class Network:
         except KeyError:
             raise KeyError(f"unknown node: {name!r}") from None
 
-    def node_names(self) -> list[str]:
-        return sorted(self._endpoints)
-
     # -- failure injection --------------------------------------------------
 
     def crash(self, name: str) -> None:

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.reconfig.checkpoint import PartitionCheckpoint, PartitionCheckpointer
-from repro.reconfig.transfer import (CheckpointHost, StateTransfer,
-                                     StateTransferStalled)
+from repro.reconfig.checkpoint import PartitionCheckpoint
+from repro.reconfig.transfer import StateTransfer, StateTransferStalled
+from repro.smr.pipeline import respawn
 
 
 def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
@@ -155,17 +155,19 @@ class PartitionRecovery:
 
 
 def recover_partition_server(crashed, peer, fallback_peers=(),
-                             on_failure=None):
+                             on_failure=None, rebuild=None):
     """Bring a crashed partition replica back under the same name.
 
     ``crashed`` is the dead server object (any :class:`SsmrServer`
     subclass); ``peer`` is a live replica of the *same partition* with a
     checkpointer and :class:`CheckpointHost` attached, and
     ``fallback_peers`` names alternates to try if the transfer from
-    ``peer`` stalls. Returns the replacement server (same class, same
-    name), already recovering; its ``recovery`` attribute exposes
-    progress, and a fresh checkpointer and host are attached so the
-    replacement can later seed others.
+    ``peer`` stalls. ``rebuild`` builds the gated replacement — a
+    deployment passes its server factory, which also attaches the
+    checkpointer and host that let the replacement seed others later;
+    the default respawns ``crashed`` bare. Returns the replacement
+    server (same class, same name), already recovering; its
+    ``recovery`` attribute exposes progress.
     """
     if crashed.partition != peer.partition:
         raise ValueError(f"peer {peer.node.name} replicates "
@@ -175,23 +177,8 @@ def recover_partition_server(crashed, peer, fallback_peers=(),
         raise ValueError(f"{name} is the group speaker; the ordered log "
                          "cannot survive its crash (deploy PaxosLog for "
                          "speaker fault tolerance)")
-    network = crashed.node.network
-    network.recover(name)
-    replacement = type(crashed)(
-        crashed.env, network, crashed.directory, crashed.partition, name,
-        crashed.state_machine, execution=crashed.execution,
-        log_factory=type(crashed.log),
-        speaker_only=crashed.amcast.speaker_only,
-        dedup=getattr(crashed.replies, "enabled", True),
-        start_gate=crashed.env.event(), tracer=crashed.tracer)
+    replacement = rebuild() if rebuild is not None else respawn(crashed)
     replacement.log.suspend_backfill()
-    PartitionCheckpointer(replacement)
-    CheckpointHost(replacement)
-    pool = getattr(crashed, "parallel", None)
-    if pool is not None:
-        from repro.smr.parallel import ParallelExecutionModel
-        replacement.attach_parallel(
-            ParallelExecutionModel(crashed.env, pool.config))
     replacement.recovery = PartitionRecovery(
         replacement, peer.node.name, fallback_peers=fallback_peers,
         on_failure=on_failure)

@@ -28,6 +28,7 @@ import itertools
 from typing import Optional, Sequence
 
 from repro.net import Message
+from repro.smr.pipeline import respawn
 from repro.smr.replica import SmrReplica
 
 SNAPSHOT_REQUEST = "recovery/request"
@@ -48,6 +49,7 @@ class RecoveryHost:
     def __init__(self, replica: SmrReplica):
         self.replica = replica
         self.snapshots_served = 0
+        replica.recovery_host = self
         replica.node.on(SNAPSHOT_REQUEST, self._on_request)
 
     def _on_request(self, message: Message) -> None:
@@ -179,28 +181,18 @@ class RecoveringReplica:
 
 
 def recover_replica(crashed: SmrReplica, peer: SmrReplica,
-                    state_machine=None,
-                    fallback_peers: Sequence[str] = ()) -> SmrReplica:
+                    fallback_peers: Sequence[str] = (),
+                    rebuild=None) -> SmrReplica:
     """Bring a crashed classic-SMR replica back under the same name.
 
     Returns the replacement :class:`SmrReplica`; it serves commands once
     a peer's snapshot is installed and the log catch-up completes. The
     peer (and any ``fallback_peers``, tried in rotation if the primary
     stops answering) must have a :class:`RecoveryHost` attached.
+    ``rebuild`` builds the gated replacement (a deployment passes its
+    server factory); the default respawns ``crashed`` bare.
     """
-    network = crashed.node.network
-    name = crashed.node.name
-    network.recover(name)
-    replacement = SmrReplica(
-        crashed.env, network, crashed.amcast.directory, crashed.group,
-        name, state_machine or crashed.state_machine,
-        execution=crashed.execution, log_factory=type(crashed.log),
-        start_gate=crashed.env.event())
-    pool = getattr(crashed, "parallel", None)
-    if pool is not None:
-        from repro.smr.parallel import ParallelExecutionModel
-        replacement.attach_parallel(
-            ParallelExecutionModel(crashed.env, pool.config))
+    replacement = rebuild() if rebuild is not None else respawn(crashed)
     replacement.recovery = RecoveringReplica(
         replacement, peer.node.name, fallback_peers=fallback_peers)
     return replacement

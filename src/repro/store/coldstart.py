@@ -49,44 +49,10 @@ record of a position is authoritative for all.
 
 from __future__ import annotations
 
-from repro.reconfig.checkpoint import PartitionCheckpointer
 from repro.reconfig.recovery import PartitionRecovery, install_checkpoint
-from repro.reconfig.transfer import CheckpointHost
 from repro.store.checkpoints import load_latest_checkpoint
-from repro.store.durability import attach_durability, detach_durability
-from repro.store.wal import replay_wal, wipe_wal
-
-
-def _rebuild_server(cluster, crashed):
-    """A fresh, gated server of the same class under the same name."""
-    from repro.smr import SmrReplica
-
-    name = crashed.node.name
-    network = crashed.node.network
-    network.recover(name)
-    if cluster.config.scheme == "smr":
-        replacement = SmrReplica(
-            crashed.env, network, crashed.amcast.directory, crashed.group,
-            name, crashed.state_machine, execution=crashed.execution,
-            log_factory=type(crashed.log),
-            dedup=getattr(crashed.replies, "enabled", True),
-            start_gate=crashed.env.event(), tracer=crashed.tracer)
-    else:
-        replacement = type(crashed)(
-            crashed.env, network, crashed.directory, crashed.partition,
-            name, crashed.state_machine, execution=crashed.execution,
-            log_factory=type(crashed.log),
-            speaker_only=crashed.amcast.speaker_only,
-            dedup=getattr(crashed.replies, "enabled", True),
-            start_gate=crashed.env.event(), tracer=crashed.tracer)
-        PartitionCheckpointer(replacement)
-        CheckpointHost(replacement)
-    if cluster.config.parallel is not None:
-        from repro.smr.parallel import ParallelExecutionModel
-        replacement.attach_parallel(
-            ParallelExecutionModel(crashed.env, cluster.config.parallel))
-    replacement.log.suspend_backfill()
-    return replacement
+from repro.store.durability import detach_durability
+from repro.store.wal import replay_wal
 
 
 def _read_images(farm, name):
@@ -95,7 +61,7 @@ def _read_images(farm, name):
     disk.power_fail()
     checkpoint, _ = load_latest_checkpoint(disk, farm.stats)
     replay = replay_wal(disk, stats=farm.stats)
-    return disk, checkpoint, replay
+    return checkpoint, replay
 
 
 def _contiguous_feed(entries, position):
@@ -162,13 +128,15 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
     detach_durability(crashed)
     if not crashed.node.crashed:
         crashed.crash()
-    disk = farm.disk(name)
     if entries is None:
-        disk, checkpoint, replay = _read_images(farm, name)
+        checkpoint, replay = _read_images(farm, name)
         entries = dict(replay.entries)
         status = replay.status
 
-    replacement = _rebuild_server(cluster, crashed)
+    # A fresh, gated server under the same name; the factory wipes the
+    # WAL just read and attaches a fresh one (replay *is* compaction).
+    replacement = cluster._make_server(name, restore=True)
+    replacement.log.suspend_backfill()
     position = checkpoint.applied_count if checkpoint is not None else 0
     feed, lost = _contiguous_feed(entries, position)
     peers = _live_members(cluster, replacement.log.group, name)
@@ -181,18 +149,12 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
         # Rung 2: the local images cannot reconstruct a contiguous
         # history — pull a full checkpoint/snapshot from a peer.
         farm.stats.peer_fallbacks += 1
-        wipe_wal(disk)
-        attach_durability(replacement, farm)
         replacement.node.flight(
             "store", f"cold start: {lost} entr(ies) stranded past "
             f"{position + len(feed)} (wal {status}); falling back to "
             f"peer {peers[0]}")
         if cluster.config.scheme == "smr":
-            from repro.smr.recovery import RecoveringReplica, RecoveryHost
-            for peer in peers:
-                server = cluster.servers[peer]
-                if getattr(server, "recovery_host", None) is None:
-                    server.recovery_host = RecoveryHost(server)
+            from repro.smr.recovery import RecoveringReplica
             replacement.recovery = RecoveringReplica(
                 replacement, peers[0], fallback_peers=peers[1:])
         else:
@@ -210,8 +172,6 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
             f"{position + len(feed)} (wal {status}, {lost} stranded) and "
             "no live peer — relying on client resends (no reply was ever "
             "sent for an entry that never reached the durable prefix)")
-    wipe_wal(disk)
-    attach_durability(replacement, farm)
     if checkpoint is not None:
         install_checkpoint(replacement, checkpoint)
         replacement.log.fast_forward(max(replacement.log.applied_count,
@@ -254,7 +214,7 @@ def cold_start_partition(cluster, partition):
     images = {}
     union: dict[int, dict] = {}
     for name in members:
-        _, checkpoint, replay = _read_images(farm, name)
+        checkpoint, replay = _read_images(farm, name)
         images[name] = (checkpoint, replay)
         for seq, entry in replay.entries:
             union.setdefault(seq, entry)
@@ -284,8 +244,6 @@ def cold_start_oracles(cluster):
     node (the original execution already sent them; partitions and
     clients deduplicate the history they already saw).
     """
-    from repro.core import ORACLE_GROUP, OracleReplica
-
     farm = cluster.disks
     union: dict[int, dict] = {}
     for oracle in cluster.oracles:
@@ -300,24 +258,13 @@ def cold_start_oracles(cluster):
     uids = {entry.get("uid") for _, entry in feed}
     uids.discard(None)
 
-    config = cluster.config
-    policy_factory = cluster._policy_factory()
     replacements = []
     for old in cluster.oracles:
-        name = old.node.name
         detach_durability(old)
         if not old.node.crashed:
             old.crash()
-        cluster.network.recover(name)
-        oracle = OracleReplica(
-            cluster.env, cluster.network, cluster.directory, name,
-            cluster.partitions, policy=policy_factory(),
-            oracle_issues_moves=config.scheme == "dynastar",
-            async_repartition=config.async_repartition,
-            dedup=config.dedup, tracer=cluster.tracer)
+        oracle = cluster._make_server(old.node.name, restore=True)
         oracle.preload_locations(cluster._initial_locations)
-        wipe_wal(farm.disk(name))
-        attach_durability(oracle, farm)
         oracle.arm_replay(muids)
         if hasattr(oracle.log, "restore_sequencer_state"):
             next_seq = max((seq + 1 for seq, _ in feed), default=0)
