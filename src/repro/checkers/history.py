@@ -25,10 +25,6 @@ class Operation:
         if self.responded_at < self.invoked_at:
             raise ValueError("response before invocation")
 
-    def precedes(self, other: "Operation") -> bool:
-        """Real-time precedence: this op finished before ``other`` started."""
-        return self.responded_at < other.invoked_at
-
 
 class History:
     """An append-only collection of completed operations.
@@ -54,13 +50,3 @@ class History:
 
     def __iter__(self):
         return iter(self.operations)
-
-    def concurrent_pairs(self) -> int:
-        """Number of operation pairs that overlap in time (test diagnostics)."""
-        count = 0
-        ops = self.operations
-        for i, a in enumerate(ops):
-            for b in ops[i + 1:]:
-                if not (a.precedes(b) or b.precedes(a)):
-                    count += 1
-        return count

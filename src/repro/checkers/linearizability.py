@@ -11,7 +11,7 @@ typical runs fast.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Iterator, Optional
 
 from repro.checkers.history import History, Operation
 
@@ -74,7 +74,15 @@ def _search_linearization(history: History, spec: SequentialSpec,
         firsts.sort(key=lambda op: (op.invoked_at, op.op_id))
         return firsts
 
-    def search(remaining: frozenset, state: Any) -> bool:
+    # Depth-first search with an explicit stack (a history of n ops nests
+    # n levels deep, far past Python's recursion limit). Each frame holds
+    # a node's remaining set, its state and the iterator over its
+    # not-yet-tried candidates, so the exploration order, the memo and
+    # the node count match the recursive formulation exactly.
+    stack: list[tuple[frozenset, Any, Iterator[Operation]]] = []
+
+    def enter(remaining: frozenset, state: Any) -> bool:
+        """Visit a node: True iff it completes a linearization."""
         nonlocal explored
         if not remaining:
             return True
@@ -85,13 +93,22 @@ def _search_linearization(history: History, spec: SequentialSpec,
         explored += 1
         if explored > max_nodes:
             raise _BudgetExceeded
-        for op in candidates(remaining):
-            legal, new_state = spec.apply(state, op)
-            if legal and search(remaining - {op.op_id}, new_state):
-                return True
+        stack.append((remaining, state, iter(candidates(remaining))))
         return False
 
-    return search(remaining_all, spec.initial_state())
+    enter(remaining_all, spec.initial_state())
+    while stack:
+        remaining, state, pending = stack[-1]
+        depth = len(stack)
+        for op in pending:
+            legal, new_state = spec.apply(state, op)
+            if legal and enter(remaining - {op.op_id}, new_state):
+                return True
+            if len(stack) > depth:
+                break       # descend into the child just entered
+        else:
+            stack.pop()     # every candidate refuted
+    return False
 
 
 def check_linearizable(history: History, spec: SequentialSpec,

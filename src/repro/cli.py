@@ -7,41 +7,319 @@ Examples::
         --edge-cut 0.05 --duration-ms 5000
     python -m repro partition --vertices 5000 --parts 4
     python -m repro list-figures
+
+Every campaign subcommand (chaos, fuzz, heal, qos, durability,
+parallelexec, reconfig) is one :class:`Campaign` entry of
+:data:`CAMPAIGNS`: its flags, a ``run`` returning the canonical result
+dict, a ``report`` rendered from that dict, and an ``ok`` gate deciding
+the exit code. :func:`_finish` emits every command's output the same
+way.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
+import json
+import re
 import sys
 import time
+from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 
 def _figure_registry() -> dict[str, Callable]:
+    """``figN`` -> ``figures.figureN_*`` for every reproduced figure."""
     from repro.harness import figures
-    return {
-        "fig1": figures.figure1_motivation,
-        "fig2": figures.figure2_edgecut_sweep,
-        "fig3": figures.figure3_partition_count,
-        "fig4": figures.figure4_dynamic_load,
-        "fig5": figures.figure5_partitioner_scaling,
-        "fig6": figures.figure6_oracle_load,
-        "fig7": figures.figure7_cache_ablation,
-        "fig8": figures.figure8_command_mix,
-        "fig9": figures.figure9_retry_fallback,
-        "fig10": figures.figure10_partitioner_ablation,
-        "fig11": figures.figure11_message_complexity,
-        "fig12": figures.figure12_async_oracle,
-        "fig13": figures.figure13_multicast_comparison,
-        "fig14": figures.figure14_batching,
-        "fig15": figures.figure15_chaos_overhead,
-        "fig16": figures.figure16_elastic_scaleout,
-        "fig17": figures.figure17_self_healing,
-        "fig18": figures.figure18_cost_attribution,
-        "fig19": figures.figure19_overload,
-        "fig20": figures.figure20_durability,
-        "fig21": figures.figure21_parallel_execution,
-    }
+    return {f"fig{match[1]}": function
+            for name, function in vars(figures).items()
+            if (match := re.fullmatch(r"figure(\d+)_\w+", name))}
+
+
+def _finish(started: float, report: str, code: int,
+            payload: Optional[dict] = None, json_stdout: bool = False,
+            out: Optional[str] = None) -> int:
+    """Emit a command's output and return its exit ``code``.
+
+    The report goes to stdout — or to stderr when ``json_stdout`` puts
+    the canonical ``payload`` JSON there, so stdout stays byte-comparable
+    across runs. ``out`` also receives the JSON. The elapsed host time
+    always goes to stderr.
+    """
+    text = None if payload is None else json.dumps(
+        payload, sort_keys=True, separators=(",", ":"))
+    if report:
+        print(report, file=sys.stderr if json_stdout else sys.stdout)
+    if json_stdout and text is not None:
+        print(text)
+    if out and text is not None:
+        with open(out, "w") as sink:
+            sink.write(text + "\n")
+        print(f"wrote campaign JSON to {out}", file=sys.stderr)
+    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
+          file=sys.stderr)
+    return code
+
+
+# ---------------------------------------------------------------------------
+# campaigns
+
+
+def _lazy(path: str) -> Callable:
+    """``module:attr.attr`` resolved on first call (keeps startup light)."""
+    module, attrs = path.split(":")
+
+    def call(*args, **kwargs):
+        target = reduce(getattr, attrs.split("."),
+                        importlib.import_module(module))
+        return target(*args, **kwargs)
+    return call
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One campaign subcommand: flags, run, report and exit gate.
+
+    ``run(args)`` returns the canonical result dict, ``report(dict)``
+    renders it and ``ok(dict, args)`` decides the exit code. ``payload``
+    selects the part of the dict emitted as JSON (all of it by default).
+    """
+
+    help: str
+    arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], dict]
+    report: Callable[[dict], str]
+    ok: Callable[[dict, argparse.Namespace], bool]
+    payload: Callable[[dict], dict] = lambda data: data
+
+
+def _output_flags(parser: argparse.ArgumentParser,
+                  smoke: bool = True) -> None:
+    if smoke:
+        parser.add_argument("--smoke", action="store_true",
+                            help="short fixed campaign printing the "
+                                 "canonical JSON on stdout (CI "
+                                 "byte-compares two same-seed runs)")
+    parser.add_argument("--json", action="store_true",
+                        help="print the canonical campaign JSON on stdout "
+                             "(report goes to stderr)")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="also write the canonical campaign JSON to "
+                             "PATH")
+
+
+def _schedule_flags(parser: argparse.ArgumentParser, unit: str) -> None:
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--clients", type=int, default=3)
+    parser.add_argument("--ops", type=int, default=8,
+                        help=f"operations per client per {unit}")
+
+
+def _chaos_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenarios", type=int, default=10,
+                        help="number of generated fault scenarios")
+    _schedule_flags(parser, "scenario")
+
+
+def _fuzz_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--schedules", type=int, default=10,
+                        help="number of generated schedules to run")
+    _schedule_flags(parser, "schedule")
+    _output_flags(parser)
+    parser.add_argument("--replay", default=None, metavar="ARTIFACT",
+                        help="re-run a repro artifact and byte-compare the "
+                             "outcome instead of fuzzing")
+    parser.add_argument("--inject-bug", default=None, choices=["no_dedup"],
+                        help="test-only deliberate protocol bug; the "
+                             "campaign must then FIND a violation")
+    parser.add_argument("--no-shrink", action="store_true",
+                        help="skip delta-debugging minimisation of "
+                             "violating schedules")
+    parser.add_argument("--artifacts", default=None, metavar="DIR",
+                        help="write replayable repro artifacts for "
+                             "violations into DIR")
+    parser.add_argument("--supervisor", action="store_true",
+                        help="run every schedule under the autonomous "
+                             "recovery supervisor (repro.heal): crashes "
+                             "get no harness restart and the generator "
+                             "adds false-suspicion faults")
+    parser.add_argument("--overload", action="store_true",
+                        help="QoS fuzzing: clusters run with overload "
+                             "control armed and the generator adds "
+                             "overload-burst events (background open-loop "
+                             "traffic surges)")
+    parser.add_argument("--disk", action="store_true",
+                        help="storage fuzzing: clusters run with durable "
+                             "storage armed (repro.store) and the "
+                             "generator adds torn-write, bit-rot, "
+                             "slow-disk and power-loss events")
+    parser.add_argument("--parallel", action="store_true",
+                        help="parallel-execution fuzzing: every server "
+                             "executes on a 4-worker conflict-aware pool "
+                             "(repro.smr.parallel); the linearizability "
+                             "checker fuzzes the sequential-equivalence "
+                             "argument under faults")
+
+
+def _heal_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenarios", type=int, default=4,
+                        help="scenarios per scheme (each crashes a "
+                             "follower, a sequencer and an oracle)")
+    _schedule_flags(parser, "scenario")
+    _output_flags(parser)
+
+
+def _qos_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scheme", default="ssmr",
+                        choices=["smr", "ssmr", "dssmr", "dynastar"])
+    _output_flags(parser)
+
+
+def _seed_arguments(default: int) -> Callable:
+    def add(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--seed", type=int, default=default)
+        _output_flags(parser)
+    return add
+
+
+def _reconfig_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scheme", default="dssmr",
+                        choices=["dssmr", "dynastar"])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--clients", type=int, default=4)
+    parser.add_argument("--ops", type=int, default=36,
+                        help="operations per client")
+    parser.add_argument("--no-chaos", action="store_true",
+                        help="disable the background message faults")
+    _output_flags(parser, smoke=False)
+
+
+def _run_fuzz(args) -> dict:
+    from repro.fuzz import load_artifact, replay_artifact, run_fuzz_campaign
+
+    if args.replay:
+        return {"replay": replay_artifact(load_artifact(args.replay))
+                .to_dict()}
+    return run_fuzz_campaign(
+        num_schedules=6 if args.smoke else args.schedules, seed=args.seed,
+        num_clients=args.clients, ops_per_client=args.ops,
+        inject_bug=args.inject_bug, shrink=not args.no_shrink,
+        artifacts_dir=args.artifacts, supervisor=args.supervisor,
+        overload=args.overload, disk=args.disk,
+        parallel=args.parallel).to_dict()
+
+
+def _fuzz_report(data: dict) -> str:
+    from repro.fuzz.artifact import format_replay
+    from repro.fuzz.campaign import FUZZ
+
+    if "replay" in data:
+        return format_replay(data["replay"])
+    return FUZZ.report(data)
+
+
+def _fuzz_ok(data: dict, args) -> bool:
+    if "replay" in data:
+        # Only a byte-identical reproduction passes: CI treats any drift
+        # — even "still violating, different signature" — as news.
+        return data["replay"]["verdict"] == "identical"
+    # With a deliberate bug the fuzzer must FIND it; a clean campaign
+    # means the fuzzer lost its teeth.
+    return (data["violations"] > 0) == bool(args.inject_bug)
+
+
+def _no_violations(data: dict, _args) -> bool:
+    return data["violations"] == 0
+
+
+def _qos_ok(data: dict, args) -> bool:
+    # QoS must beat the baseline beyond saturation (full sweep only; the
+    # smoke sweep is a determinism probe, too short to claim the shape).
+    summary = data["summary"]
+    return args.smoke or (summary["qos_on"]["tail_ratio"]
+                          > summary["qos_off"]["tail_ratio"])
+
+
+CAMPAIGNS: dict[str, Campaign] = {
+    "chaos": Campaign(
+        help="seeded chaos campaign against every scheme",
+        arguments=_chaos_arguments,
+        run=lambda args: _lazy("repro.harness.chaos:run_chaos_campaign")(
+            num_scenarios=args.scenarios, seed=args.seed,
+            num_clients=args.clients, ops_per_client=args.ops).to_dict(),
+        report=_lazy("repro.harness.chaos:CHAOS.report"),
+        ok=_no_violations),
+    "fuzz": Campaign(
+        help="deterministic fault-schedule fuzzer: generate, run, shrink, "
+             "replay",
+        arguments=_fuzz_arguments, run=_run_fuzz, report=_fuzz_report,
+        ok=_fuzz_ok),
+    "qos": Campaign(
+        help="overload campaign: offered-load sweep with QoS (admission "
+             "control + AIMD) off and on",
+        arguments=_qos_arguments,
+        run=lambda args: _lazy(
+            "repro.harness.overload:run_overload_campaign")(
+            seed=args.seed, smoke=args.smoke, scheme=args.scheme),
+        report=_lazy("repro.harness.overload:format_overload_report"),
+        ok=_qos_ok),
+    "durability": Campaign(
+        help="durable-storage campaign: WAL replay equivalence, "
+             "whole-cluster power loss, torn-write/bit-rot recovery ladder",
+        arguments=_seed_arguments(0),
+        run=lambda args: _lazy(
+            "repro.harness.durability:run_durability_campaign")(
+            seed=args.seed, smoke=args.smoke),
+        report=_lazy("repro.harness.durability:format_durability_report"),
+        ok=lambda data, _args: data["summary"]["ok"]),
+    "heal": Campaign(
+        help="self-healing campaign: crash every role, let the recovery "
+             "supervisor repair the cluster",
+        arguments=_heal_arguments,
+        run=lambda args: _lazy("repro.heal.campaign:run_heal_campaign")(
+            num_scenarios=2 if args.smoke else args.scenarios,
+            seed=args.seed, num_clients=args.clients,
+            ops_per_client=args.ops).to_dict(),
+        report=_lazy("repro.heal.campaign:HEAL.report"),
+        ok=_no_violations),
+    "parallelexec": Campaign(
+        help="parallel-execution campaign: sequential equivalence proof + "
+             "worker/conflict throughput sweep",
+        arguments=_seed_arguments(1),
+        run=lambda args: _lazy("repro.harness.parallelexec:run_campaign")(
+            seed=args.seed, smoke=args.smoke),
+        report=_lazy("repro.harness.parallelexec:format_report"),
+        ok=lambda data, _args: data["gate"]["passed"]),
+    "reconfig": Campaign(
+        help="elastic reconfiguration smoke: crash-restart recovery + live "
+             "partition join under chaos",
+        arguments=_reconfig_arguments,
+        run=lambda args: _lazy(
+            "repro.harness.elastic:run_elastic_scenario")(
+            seed=args.seed, scheme=args.scheme, num_clients=args.clients,
+            ops_per_client=args.ops, chaos=not args.no_chaos).to_dict(),
+        report=_lazy("repro.harness.elastic:format_elastic_report"),
+        ok=lambda data, _args: not data["violations"],
+        payload=_lazy("repro.harness.elastic:canonical_metrics")),
+}
+
+
+def _run_campaign(campaign: Campaign, args) -> int:
+    started = time.perf_counter()
+    data = campaign.run(args)
+    return _finish(started, campaign.report(data),
+                   0 if campaign.ok(data, args) else 1,
+                   payload=campaign.payload(data),
+                   json_stdout=(getattr(args, "json", False)
+                                or getattr(args, "smoke", False)),
+                   out=getattr(args, "out", None))
+
+
+# ---------------------------------------------------------------------------
+# parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("figure_id", help="fig1..fig12 (see list-figures)")
-    figure.add_argument("--seed", type=int, default=5)
+    figure.add_argument("figure_id", help="fig1..fig21 (see list-figures)")
+    figure.add_argument("--seed", type=int, default=None,
+                        help="seed (default: the figure's own)")
     figure.add_argument("--duration-ms", type=float, default=None,
                         help="virtual run length per configuration")
 
@@ -74,15 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--vertices", type=int, default=5_000)
     partition.add_argument("--parts", type=int, default=4)
     partition.add_argument("--seed", type=int, default=7)
-
-    chaos = sub.add_parser(
-        "chaos", help="seeded chaos campaign against every scheme")
-    chaos.add_argument("--scenarios", type=int, default=10,
-                       help="number of generated fault scenarios")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--clients", type=int, default=3)
-    chaos.add_argument("--ops", type=int, default=8,
-                       help="operations per client per scenario")
 
     trace = sub.add_parser(
         "trace", help="traced workload: spans, latency breakdown, anomalies")
@@ -156,148 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "stdout without gating (CI byte-compares "
                                 "two runs)")
 
-    fuzz = sub.add_parser(
-        "fuzz", help="deterministic fault-schedule fuzzer: generate, "
-                     "run, shrink, replay")
-    fuzz.add_argument("--schedules", type=int, default=10,
-                      help="number of generated schedules to run")
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--clients", type=int, default=3)
-    fuzz.add_argument("--ops", type=int, default=8,
-                      help="operations per client per schedule")
-    fuzz.add_argument("--smoke", action="store_true",
-                      help="small fixed campaign printing the canonical "
-                           "JSON summary on stdout (CI byte-compares two "
-                           "same-seed runs)")
-    fuzz.add_argument("--replay", default=None, metavar="ARTIFACT",
-                      help="re-run a repro artifact and byte-compare the "
-                           "outcome instead of fuzzing")
-    fuzz.add_argument("--inject-bug", default=None,
-                      choices=["no_dedup"],
-                      help="test-only deliberate protocol bug; the "
-                           "campaign must then FIND a violation")
-    fuzz.add_argument("--no-shrink", action="store_true",
-                      help="skip delta-debugging minimisation of "
-                           "violating schedules")
-    fuzz.add_argument("--artifacts", default=None, metavar="DIR",
-                      help="write replayable repro artifacts for "
-                           "violations into DIR")
-    fuzz.add_argument("--json", action="store_true",
-                      help="print the canonical campaign JSON on stdout "
-                           "(report goes to stderr)")
-    fuzz.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the canonical campaign JSON to "
-                           "PATH")
-    fuzz.add_argument("--supervisor", action="store_true",
-                      help="run every schedule under the autonomous "
-                           "recovery supervisor (repro.heal): crashes "
-                           "get no harness restart and the generator "
-                           "adds false-suspicion faults")
-    fuzz.add_argument("--overload", action="store_true",
-                      help="QoS fuzzing: clusters run with overload "
-                           "control armed and the generator adds "
-                           "overload-burst events (background open-loop "
-                           "traffic surges)")
-    fuzz.add_argument("--disk", action="store_true",
-                      help="storage fuzzing: clusters run with durable "
-                           "storage armed (repro.store) and the "
-                           "generator adds torn-write, bit-rot, "
-                           "slow-disk and power-loss events")
-    fuzz.add_argument("--parallel", action="store_true",
-                      help="parallel-execution fuzzing: every server "
-                           "executes on a 4-worker conflict-aware pool "
-                           "(repro.smr.parallel); the linearizability "
-                           "checker fuzzes the sequential-equivalence "
-                           "argument under faults")
-
-    qos = sub.add_parser(
-        "qos", help="overload campaign: offered-load sweep with QoS "
-                    "(admission control + AIMD) off and on")
-    qos.add_argument("--seed", type=int, default=0)
-    qos.add_argument("--scheme", default="ssmr",
-                     choices=["smr", "ssmr", "dssmr", "dynastar"])
-    qos.add_argument("--smoke", action="store_true",
-                     help="short fixed sweep printing the canonical JSON "
-                          "on stdout (CI byte-compares two same-seed "
-                          "runs)")
-    qos.add_argument("--json", action="store_true",
-                     help="print the canonical campaign JSON on stdout "
-                          "(report goes to stderr)")
-    qos.add_argument("--out", default=None, metavar="PATH",
-                     help="also write the canonical campaign JSON to "
-                          "PATH")
-
-    durability = sub.add_parser(
-        "durability", help="durable-storage campaign: WAL replay "
-                           "equivalence, whole-cluster power loss, "
-                           "torn-write/bit-rot recovery ladder")
-    durability.add_argument("--seed", type=int, default=0)
-    durability.add_argument("--smoke", action="store_true",
-                            help="short fixed campaign printing the "
-                                 "canonical JSON on stdout (CI "
-                                 "byte-compares two same-seed runs)")
-    durability.add_argument("--json", action="store_true",
-                            help="print the canonical campaign JSON on "
-                                 "stdout (report goes to stderr)")
-    durability.add_argument("--out", default=None, metavar="PATH",
-                            help="also write the canonical campaign "
-                                 "JSON to PATH")
-
-    heal = sub.add_parser(
-        "heal", help="self-healing campaign: crash every role, let the "
-                     "recovery supervisor repair the cluster")
-    heal.add_argument("--scenarios", type=int, default=4,
-                      help="scenarios per scheme (each crashes a "
-                           "follower, a sequencer and an oracle)")
-    heal.add_argument("--seed", type=int, default=0)
-    heal.add_argument("--clients", type=int, default=3)
-    heal.add_argument("--ops", type=int, default=8,
-                      help="operations per client per scenario")
-    heal.add_argument("--smoke", action="store_true",
-                      help="small fixed campaign printing the canonical "
-                           "JSON summary on stdout (CI byte-compares two "
-                           "same-seed runs)")
-    heal.add_argument("--json", action="store_true",
-                      help="print the canonical campaign JSON on stdout "
-                           "(report goes to stderr)")
-    heal.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the canonical campaign JSON to "
-                           "PATH")
-
-    parallelexec = sub.add_parser(
-        "parallelexec", help="parallel-execution campaign: sequential "
-                             "equivalence proof + worker/conflict "
-                             "throughput sweep")
-    parallelexec.add_argument("--seed", type=int, default=1)
-    parallelexec.add_argument("--smoke", action="store_true",
-                              help="short fixed campaign printing the "
-                                   "canonical JSON on stdout (CI "
-                                   "byte-compares two same-seed runs)")
-    parallelexec.add_argument("--json", action="store_true",
-                              help="print the canonical campaign JSON on "
-                                   "stdout (report goes to stderr)")
-    parallelexec.add_argument("--out", default=None, metavar="PATH",
-                              help="also write the canonical campaign "
-                                   "JSON to PATH")
-
-    reconfig = sub.add_parser(
-        "reconfig", help="elastic reconfiguration smoke: crash-restart "
-                         "recovery + live partition join under chaos")
-    reconfig.add_argument("--scheme", default="dssmr",
-                          choices=["dssmr", "dynastar"])
-    reconfig.add_argument("--seed", type=int, default=0)
-    reconfig.add_argument("--clients", type=int, default=4)
-    reconfig.add_argument("--ops", type=int, default=36,
-                          help="operations per client")
-    reconfig.add_argument("--no-chaos", action="store_true",
-                          help="disable the background message faults")
-    reconfig.add_argument("--json", action="store_true",
-                          help="print canonical metrics JSON on stdout")
-    reconfig.add_argument("--out", default=None, metavar="PATH",
-                          help="write the metrics JSON to PATH (the "
-                               "determinism artifact CI byte-compares)")
-
+    for name, campaign in CAMPAIGNS.items():
+        campaign.arguments(sub.add_parser(name, help=campaign.help))
     return parser
+
+
+# ---------------------------------------------------------------------------
+# the other commands
 
 
 def cmd_figure(args) -> int:
@@ -307,26 +442,17 @@ def cmd_figure(args) -> int:
         print(f"unknown figure {args.figure_id!r}; "
               f"try: {', '.join(sorted(registry))}", file=sys.stderr)
         return 2
-    kwargs = {"seed": args.seed}
-    if args.duration_ms is not None:
-        kwargs["duration_ms"] = args.duration_ms
-    if args.figure_id in ("fig5", "fig10", "fig13", "fig14", "fig15",
-                          "fig16", "fig17", "fig18", "fig19", "fig20",
-                          "fig21"):
-        # figures without duration parameters
-        kwargs = {"seed": args.seed} \
-            if args.figure_id in ("fig13", "fig14", "fig15", "fig16",
-                                  "fig17", "fig18", "fig19", "fig20",
-                                  "fig21") \
-            else {}
+    # Forward only the options the user gave and the figure takes, so
+    # every figure otherwise runs at its own default seed and length.
+    given = {"seed": args.seed, "duration_ms": args.duration_ms}
+    params = inspect.signature(figure_fn).parameters
+    kwargs = {name: value for name, value in given.items()
+              if value is not None and name in params}
     started = time.perf_counter()
-    print(figure_fn(**kwargs))
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)")
-    return 0
+    return _finish(started, str(figure_fn(**kwargs)), 0)
 
 
 def cmd_list_figures(_args) -> int:
-    from repro.harness import figures as figures_module
     registry = _figure_registry()
     for figure_id in sorted(registry, key=lambda f: int(f[3:])):
         doc = (registry[figure_id].__doc__ or "").strip().splitlines()[0]
@@ -378,19 +504,6 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    from repro.harness.chaos import run_campaign
-
-    started = time.perf_counter()
-    campaign = run_campaign(num_scenarios=args.scenarios, seed=args.seed,
-                            num_clients=args.clients,
-                            ops_per_client=args.ops)
-    print(campaign.report())
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    return 0 if campaign.ok else 1
-
-
 def cmd_trace(args) -> int:
     from repro.harness.tracerun import run_traced_workload
     from repro.obs import (command_timeline, dump_jsonl, find_anomalies,
@@ -403,41 +516,39 @@ def cmd_trace(args) -> int:
                               ops_per_client=args.ops,
                               num_partitions=args.partitions)
     spans = run.spans
+    lines = []
     if args.out:
         count = dump_jsonl(spans, args.out)
-        print(f"wrote {count} span(s) to {args.out}")
-    print(f"traced {run.completed}/{run.expected} command(s), "
-          f"{len(spans)} span(s), scheme={run.scheme} seed={run.seed}")
-    print()
-    print(latency_breakdown(spans,
-                            label=f"{run.scheme} seed={run.seed}"))
+        lines.append(f"wrote {count} span(s) to {args.out}")
+    lines.append(f"traced {run.completed}/{run.expected} command(s), "
+                 f"{len(spans)} span(s), scheme={run.scheme} "
+                 f"seed={run.seed}")
+    lines.append("")
+    lines.append(latency_breakdown(spans,
+                                   label=f"{run.scheme} seed={run.seed}"))
     errors = stage_sum_errors(spans)
     if errors:
-        print(f"\nstage-sum mismatches in {len(errors)} command(s): "
-              f"{', '.join(errors[:5])}")
+        lines.append(f"\nstage-sum mismatches in {len(errors)} "
+                     f"command(s): {', '.join(errors[:5])}")
     else:
-        print("\nper-command stage sums match end-to-end latency exactly")
+        lines.append("\nper-command stage sums match end-to-end latency "
+                     "exactly")
     anomalies = find_anomalies(spans, k=args.k)
     if anomalies:
-        print("\nanomalies:")
-        for flag in anomalies:
-            print(f"  - {flag}")
+        lines.append("\nanomalies:")
+        lines.extend(f"  - {flag}" for flag in anomalies)
     else:
-        print("no anomalies flagged")
+        lines.append("no anomalies flagged")
     if args.timelines:
-        print("\nslowest command timeline(s):")
+        lines.append("\nslowest command timeline(s):")
         for trace_id in slowest_traces(spans, args.timelines):
-            print()
-            print(command_timeline(spans, trace_id))
-    # Wall time goes to stderr: stdout must be byte-identical across runs.
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    return 0 if run.completed == run.expected and not errors else 1
+            lines.append("")
+            lines.append(command_timeline(spans, trace_id))
+    ok = run.completed == run.expected and not errors
+    return _finish(started, "\n".join(lines), 0 if ok else 1)
 
 
 def cmd_profile(args) -> int:
-    import json
-
     from repro.harness.tracerun import run_traced_workload
     from repro.obs.profile import VirtualProfiler
 
@@ -448,10 +559,9 @@ def cmd_profile(args) -> int:
     else:
         schemes = (args.scheme,)
         clients, ops, partitions = args.clients, args.ops, args.partitions
-    emit_json = args.json or args.smoke
-    report = sys.stderr if emit_json else sys.stdout
     payload: dict = {"seed": args.seed, "schemes": {}}
     folded_sections: list[str] = []
+    lines: list[str] = []
     ok = True
     for scheme in schemes:
         profiler = VirtualProfiler(scheme=scheme)
@@ -463,40 +573,32 @@ def cmd_profile(args) -> int:
         ok = ok and run.completed == run.expected and not errors
         payload["schemes"][scheme] = profiler.to_dict()
         folded_sections.append(profiler.folded())
-        print(f"== {scheme}: {run.completed}/{run.expected} command(s), "
-              f"{profiler.total_cost():.1f}ms attributed ==", file=report)
-        print(profiler.table(top=args.top), file=report)
-        if errors:
-            print(f"stage-sum mismatches in {len(errors)} command(s): "
-                  f"{', '.join(errors[:5])}", file=report)
-        else:
-            print("per-command stage sums match end-to-end latency "
-                  "exactly", file=report)
-        print(file=report)
+        lines.append(f"== {scheme}: {run.completed}/{run.expected} "
+                     f"command(s), {profiler.total_cost():.1f}ms "
+                     f"attributed ==")
+        lines.append(profiler.table(top=args.top))
+        lines.append(f"stage-sum mismatches in {len(errors)} command(s): "
+                     f"{', '.join(errors[:5])}" if errors else
+                     "per-command stage sums match end-to-end latency "
+                     "exactly")
+        lines.append("")
     if args.out:
         with open(args.out, "w") as sink:
             sink.write("\n".join(folded_sections) + "\n")
         print(f"wrote folded stacks to {args.out}", file=sys.stderr)
-    if emit_json:
-        # Canonical JSON on stdout: byte-identical across same-seed runs.
-        print(json.dumps(payload, sort_keys=True,
-                         separators=(",", ":")))
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    return 0 if ok else 1
+    emit_json = args.json or args.smoke
+    return _finish(started, "\n".join(lines), 0 if ok else 1,
+                   payload=payload if emit_json else None,
+                   json_stdout=emit_json)
 
 
 def cmd_perfcheck(args) -> int:
-    import json
-
-    from repro.harness.perf import (canonical_json, compare_substrate,
-                                    compare_to_baseline, load_baseline,
-                                    make_substrate_baseline,
+    from repro.harness.perf import (compare_substrate, compare_to_baseline,
+                                    load_baseline, make_substrate_baseline,
                                     run_perf_suite, run_substrate_micro)
 
     started = time.perf_counter()
     current = run_perf_suite(seed=args.seed, slowdown=args.slowdown)
-    payload = canonical_json(current)
     if args.update_baseline:
         with open(args.baseline, "w") as sink:
             json.dump(current, sink, sort_keys=True, indent=2)
@@ -509,249 +611,68 @@ def cmd_perfcheck(args) -> int:
                 sink.write("\n")
             print(f"wrote substrate floors to {args.substrate_baseline}",
                   file=sys.stderr)
-        print(f"(wall time: {time.perf_counter() - started:.1f}s)",
-              file=sys.stderr)
-        return 0
+        return _finish(started, "", 0)
     if args.smoke:
         # Canonical JSON on stdout, no gating: CI byte-compares two runs.
-        print(payload)
-        print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-              file=sys.stderr)
-        return 0
+        return _finish(started, "", 0, payload=current, json_stdout=True)
     baseline = load_baseline(args.baseline)
     if baseline is None:
         print(f"no baseline at {args.baseline}; create one with "
               f"--update-baseline", file=sys.stderr)
         return 2
     failures = compare_to_baseline(current, baseline, args.tolerance)
+    lines = []
     for scheme, metrics in sorted(current["schemes"].items()):
         base = baseline.get("schemes", {}).get(scheme, {})
-        print(f"{scheme:9s} throughput {metrics['throughput_ops_per_s']:8.1f} "
-              f"ops/s (baseline {base.get('throughput_ops_per_s', 0):8.1f})  "
-              f"p95 {metrics['latency_p95_ms']:.3f}ms "
-              f"(baseline {base.get('latency_p95_ms', 0):.3f}ms)")
+        lines.append(
+            f"{scheme:9s} throughput "
+            f"{metrics['throughput_ops_per_s']:8.1f} ops/s (baseline "
+            f"{base.get('throughput_ops_per_s', 0):8.1f})  p95 "
+            f"{metrics['latency_p95_ms']:.3f}ms (baseline "
+            f"{base.get('latency_p95_ms', 0):.3f}ms)")
     par = current.get("parallel")
     if par is not None:
-        print(f"parallel  {par['speedup']:.3f}x at {par['workers']} "
-              f"workers / {par['conflict']:.0%} conflict "
-              f"(minimum {par['min_speedup']:.1f}x)")
+        lines.append(f"parallel  {par['speedup']:.3f}x at {par['workers']} "
+                     f"workers / {par['conflict']:.0%} conflict "
+                     f"(minimum {par['min_speedup']:.1f}x)")
     if not args.no_substrate:
         floors = load_baseline(args.substrate_baseline)
         if floors is not None:
             rates = run_substrate_micro()
             failures.extend(compare_substrate(rates, floors))
-            print(f"substrate {rates['events_per_s']:,.0f} events/s "
-                  f"(floor {floors.get('events_per_s_floor', 0):,.0f}), "
-                  f"{rates['messages_per_s']:,.0f} msgs/s "
-                  f"(floor {floors.get('messages_per_s_floor', 0):,.0f})")
+            lines.append(
+                f"substrate {rates['events_per_s']:,.0f} events/s "
+                f"(floor {floors.get('events_per_s_floor', 0):,.0f}), "
+                f"{rates['messages_per_s']:,.0f} msgs/s "
+                f"(floor {floors.get('messages_per_s_floor', 0):,.0f})")
         else:
             print(f"no substrate floors at {args.substrate_baseline}; "
                   f"create them with --update-baseline", file=sys.stderr)
     if failures:
-        print(f"\nPERF GATE FAILED ({len(failures)} regression(s), "
-              f"tolerance {args.tolerance:.0%}):")
-        for failure in failures:
-            print(f"  - {failure}")
+        lines.append(f"\nPERF GATE FAILED ({len(failures)} regression(s), "
+                     f"tolerance {args.tolerance:.0%}):")
+        lines.extend(f"  - {failure}" for failure in failures)
     else:
-        print(f"\nperf gate passed (tolerance {args.tolerance:.0%})")
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    return 1 if failures else 0
+        lines.append(f"\nperf gate passed (tolerance {args.tolerance:.0%})")
+    return _finish(started, "\n".join(lines), 1 if failures else 0)
 
 
-def cmd_fuzz(args) -> int:
-    import json
-
-    from repro.fuzz import (load_artifact, replay_artifact,
-                            run_fuzz_campaign)
-
-    started = time.perf_counter()
-    if args.replay:
-        outcome = replay_artifact(load_artifact(args.replay))
-        print(outcome.report())
-        print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-              file=sys.stderr)
-        # Exit 0 only on a byte-identical reproduction: CI treats any
-        # drift — even "still violating, different signature" — as news.
-        return 0 if outcome.identical else 1
-
-    num_schedules = 6 if args.smoke else args.schedules
-    campaign = run_fuzz_campaign(
-        num_schedules=num_schedules, seed=args.seed,
-        num_clients=args.clients, ops_per_client=args.ops,
-        inject_bug=args.inject_bug, shrink=not args.no_shrink,
-        artifacts_dir=args.artifacts, supervisor=args.supervisor,
-        overload=args.overload, disk=args.disk, parallel=args.parallel)
-    payload = json.dumps(campaign.to_dict(), sort_keys=True,
-                         separators=(",", ":"))
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(campaign.report(), file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    if args.inject_bug:
-        # With a deliberate bug the fuzzer must FIND it; a clean
-        # campaign means the fuzzer lost its teeth.
-        return 0 if not campaign.ok else 1
-    return 0 if campaign.ok else 1
-
-
-def cmd_qos(args) -> int:
-    import json
-
-    from repro.harness.overload import (format_overload_report,
-                                        run_overload_campaign)
-
-    started = time.perf_counter()
-    data = run_overload_campaign(seed=args.seed, smoke=args.smoke,
-                                 scheme=args.scheme)
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(format_overload_report(data),
-          file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    summary = data["summary"]
-    # The campaign is also a self-check: QoS must beat the baseline
-    # beyond saturation (full sweep only; the smoke sweep is a
-    # determinism probe, too short to claim the figure's shape).
-    if not args.smoke:
-        collapse = summary["qos_off"]["tail_ratio"]
-        plateau = summary["qos_on"]["tail_ratio"]
-        if plateau <= collapse:
-            print("QOS GATE FAILED: qos_on tail ratio "
-                  f"{plateau} <= qos_off {collapse}", file=sys.stderr)
-            return 1
-    return 0
-
-
-def cmd_durability(args) -> int:
-    import json
-
-    from repro.harness.durability import (format_durability_report,
-                                          run_durability_campaign)
-
-    started = time.perf_counter()
-    data = run_durability_campaign(seed=args.seed, smoke=args.smoke)
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(format_durability_report(data),
-          file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    # The campaign is also a self-check: every section gates.
-    return 0 if data["summary"]["ok"] else 1
-
-
-def cmd_heal(args) -> int:
-    import json
-
-    from repro.heal import run_heal_campaign
-
-    started = time.perf_counter()
-    num_scenarios = 2 if args.smoke else args.scenarios
-    campaign = run_heal_campaign(
-        num_scenarios=num_scenarios, seed=args.seed,
-        num_clients=args.clients, ops_per_client=args.ops)
-    payload = json.dumps(campaign.to_dict(), sort_keys=True,
-                         separators=(",", ":"))
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(campaign.report(), file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    return 0 if campaign.ok else 1
-
-
-def cmd_parallelexec(args) -> int:
-    from repro.harness.parallelexec import (format_report, run_campaign,
-                                            to_json)
-
-    started = time.perf_counter()
-    data = run_campaign(seed=args.seed, smoke=args.smoke)
-    payload = to_json(data)
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(format_report(data), file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    # The campaign is also a self-check: equivalence + speedup gate.
-    return 0 if data["gate"]["passed"] else 1
-
-
-def cmd_reconfig(args) -> int:
-    from repro.harness.elastic import run_elastic_scenario
-
-    started = time.perf_counter()
-    result = run_elastic_scenario(seed=args.seed, scheme=args.scheme,
-                                  num_clients=args.clients,
-                                  ops_per_client=args.ops,
-                                  chaos=not args.no_chaos)
-    payload = result.metrics_json()
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote metrics JSON to {args.out}", file=sys.stderr)
-    # Report goes to stderr in --json mode: stdout stays byte-comparable.
-    print(result.report(), file=sys.stderr if args.json else sys.stdout)
-    if args.json:
-        print(payload)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    return 0 if result.ok else 1
+COMMANDS: dict[str, Callable] = {
+    "figure": cmd_figure,
+    "list-figures": cmd_list_figures,
+    "experiment": cmd_experiment,
+    "partition": cmd_partition,
+    "profile": cmd_profile,
+    "perfcheck": cmd_perfcheck,
+    "trace": cmd_trace,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "figure": cmd_figure,
-        "list-figures": cmd_list_figures,
-        "experiment": cmd_experiment,
-        "partition": cmd_partition,
-        "chaos": cmd_chaos,
-        "profile": cmd_profile,
-        "perfcheck": cmd_perfcheck,
-        "fuzz": cmd_fuzz,
-        "qos": cmd_qos,
-        "durability": cmd_durability,
-        "heal": cmd_heal,
-        "trace": cmd_trace,
-        "parallelexec": cmd_parallelexec,
-        "reconfig": cmd_reconfig,
-    }
-    return handlers[args.command](args)
+    if args.command in CAMPAIGNS:
+        return _run_campaign(CAMPAIGNS[args.command], args)
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -82,22 +82,35 @@ class ReplayOutcome:
     identical: bool               # canonical JSON byte-match
     still_violating: bool
 
+    def to_dict(self) -> dict:
+        schedule = self.result.schedule
+        verdict = ("identical" if self.identical else
+                   "diverged" if self.still_violating else "clean")
+        return {"digest": schedule.digest(), "scheme": schedule.scheme,
+                "faults": schedule.describe(), "verdict": verdict,
+                "violations": list(self.result.violations)}
+
     def report(self) -> str:
-        lines = [f"schedule {self.result.schedule.digest()} "
-                 f"[{self.result.schedule.scheme}]: "
-                 f"{self.result.schedule.describe()}"]
-        if self.identical:
-            lines.append("replay: IDENTICAL — outcome matches the "
-                         "recorded violation byte for byte")
-        elif self.still_violating:
-            lines.append("replay: DIVERGED but still violating — the "
-                         "failure reproduces with a different signature")
-        else:
-            lines.append("replay: CLEAN — the recorded violation no "
-                         "longer reproduces")
-        for violation in self.result.violations:
-            lines.append(f"  - {violation}")
-        return "\n".join(lines)
+        return format_replay(self.to_dict())
+
+
+#: Report line per replay verdict.
+_VERDICT_LINES = {
+    "identical": "replay: IDENTICAL — outcome matches the recorded "
+                 "violation byte for byte",
+    "diverged": "replay: DIVERGED but still violating — the failure "
+                "reproduces with a different signature",
+    "clean": "replay: CLEAN — the recorded violation no longer "
+             "reproduces",
+}
+
+
+def format_replay(data: dict) -> str:
+    """Human-readable replay verdict (from :meth:`ReplayOutcome.to_dict`)."""
+    lines = [f"schedule {data['digest']} [{data['scheme']}]: "
+             f"{data['faults']}", _VERDICT_LINES[data["verdict"]]]
+    lines.extend(f"  - {violation}" for violation in data["violations"])
+    return "\n".join(lines)
 
 
 def replay_artifact(artifact: dict) -> ReplayOutcome:

@@ -1,23 +1,29 @@
-"""Seeded fuzz campaigns: generate, run, shrink, report.
+"""Seeded schedule campaigns: generate, run, shrink, report.
 
-``run_fuzz_campaign(n, seed)`` draws ``n`` schedules from the seeded
-generator, runs each one, and — when a run violates an invariant —
-shrinks the schedule to a minimal reproducer and (optionally) writes
-the replay artifact to disk. The whole campaign is a pure function of
-``(seed, n, options)``: the printable report and the canonical JSON
-summary are byte-identical across runs, which is what the CI smoke
-checks (two same-seed runs, ``cmp`` on the JSON).
+Every fault campaign is a list of :class:`FaultSchedule` run through
+:func:`~repro.fuzz.runner.run_schedule`; :func:`run_campaign` does that
+(shrinking and archiving violations on request) and a :class:`Preset`
+says how the campaign titles, tabulates and sums up its runs. Three
+presets share the shape: the fuzzer (:data:`FUZZ`, schedules from
+:func:`~repro.fuzz.generate.generate_schedule`), the chaos campaign
+(:mod:`repro.harness.chaos`) and the self-healing campaign
+(:mod:`repro.heal.campaign`).
+
+A campaign is a pure function of its schedules: the canonical JSON
+summary and the report rendered from it are byte-identical across runs,
+which is what the CI smoke checks.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.fuzz.artifact import make_artifact, save_artifact
 from repro.fuzz.generate import GENERATOR_SCHEMES, generate_schedule
 from repro.fuzz.runner import ScheduleRunResult, run_schedule
+from repro.fuzz.schedule import FaultSchedule
 from repro.fuzz.shrink import ShrinkResult, shrink_schedule
 from repro.harness.report import format_table
 
@@ -25,14 +31,109 @@ from repro.harness.report import format_table
 FUZZ_SCHEMES = GENERATOR_SCHEMES
 
 
+def _done_ms(entry: dict) -> str:
+    finished = entry["run"]["finished_at"]
+    return f"{finished:.0f}" if finished is not None else "stuck"
+
+
+def run_cell(key: str) -> Callable[[dict], object]:
+    """Report column showing field ``key`` of an entry's run dict."""
+    return lambda entry: entry["run"][key]
+
+
+#: Columns every preset shows between "scheme" and its own columns.
+FAULTS_OPS_DONE = (
+    ("faults", lambda entry: entry["faults"]),
+    ("ops", lambda entry: (f"{entry['run']['ops_completed']}/"
+                           f"{entry['run']['ops_expected']}")),
+    ("done-ms", _done_ms),
+)
+
+
+@dataclass(frozen=True)
+class Preset:
+    """How one campaign flavour names, tabulates and sums up its runs.
+
+    ``columns`` are ``(header, cell(entry))`` pairs shown between the
+    ``#``/``scheme`` and ``verdict`` columns; ``describe`` renders an
+    entry's ``faults``; ``entries`` is the JSON key of the per-run list.
+    A preset with ``totals`` adds a campaign-wide ``totals`` section to
+    the JSON, rendered under the table by ``totals_report``.
+    """
+
+    title: Callable[[dict], str]
+    columns: tuple
+    describe: Callable[[FaultSchedule], str] = FaultSchedule.describe
+    entries: str = "schedules"
+    shrinks: bool = True
+    totals: Optional[Callable[[Sequence[ScheduleRunResult]], dict]] = None
+    totals_report: Optional[Callable[[dict], list]] = None
+
+    def report(self, data: dict) -> str:
+        """Human-readable report, rendered from the canonical dict."""
+        entries = data[self.entries]
+        rows = []
+        for entry in entries:
+            shrink = entry.get("shrink")
+            verdict = ("ok" if not entry["run"]["violations"] else
+                       f"FAIL->{shrink['minimal_events']}ev" if shrink
+                       else "FAIL")
+            rows.append([entry["index"], entry["scheme"]]
+                        + [cell(entry) for _, cell in self.columns]
+                        + [verdict])
+        table = format_table(
+            ["#", "scheme"] + [header for header, _ in self.columns]
+            + ["verdict"], rows)
+        lines = [self.title(data), "", table, ""]
+        if self.totals is not None:
+            lines.extend(self.totals_report(data["totals"]))
+        violations = [(entry, violation) for entry in entries
+                      for violation in entry["run"]["violations"]]
+        if not violations:
+            lines.append(f"no invariant violations in {len(entries)} "
+                         f"runs")
+            return "\n".join(lines)
+        lines.append(f"{len(violations)} violation(s):")
+        for entry, violation in violations:
+            lines.append(f"  - [#{entry['index']} {entry['scheme']}] "
+                         f"{violation}")
+        for entry in entries:
+            if entry.get("shrink"):
+                lines.append(f"  shrink [#{entry['index']}]: "
+                             f"{entry['shrink']['summary']}")
+                lines.append(f"    minimal: "
+                             f"{entry['shrink']['minimal_faults']}")
+        for entry in entries:
+            if entry.get("artifact"):
+                lines.append(f"  artifact [#{entry['index']}]: "
+                             f"{entry['artifact']}")
+        for entry in entries:
+            if entry["run"]["violations"] and entry["run"]["trace_notes"]:
+                lines.append(f"  trace context [#{entry['index']}]:")
+                for note in entry["run"]["trace_notes"]:
+                    lines.extend(f"    {line}"
+                                 for line in note.splitlines())
+        return "\n".join(lines)
+
+
+#: The fuzzer's own preset.
+FUZZ = Preset(
+    title=lambda data: (f"fuzz campaign: seed={data['seed']}, "
+                        f"{len(data['schedules'])} schedule(s)"),
+    columns=(("digest", lambda entry: entry["digest"]),
+             *FAULTS_OPS_DONE,
+             ("linearizable", run_cell("linearizability"))))
+
+
 @dataclass
 class FuzzCampaignResult:
-    """All runs of one fuzz campaign, plus shrink results and artifacts."""
+    """All runs of one campaign, plus shrink results and artifacts."""
 
     seed: int
     runs: tuple[ScheduleRunResult, ...]
     shrinks: dict[int, ShrinkResult] = field(default_factory=dict)
     artifact_paths: dict[int, str] = field(default_factory=dict)
+    preset: Preset = FUZZ
 
     @property
     def violations(self) -> list[tuple[ScheduleRunResult, str]]:
@@ -43,78 +144,77 @@ class FuzzCampaignResult:
     def ok(self) -> bool:
         return not self.violations
 
+    def _entry(self, run: ScheduleRunResult) -> dict:
+        index = run.schedule.index
+        entry = {"index": index, "digest": run.schedule.digest(),
+                 "scheme": run.schedule.scheme,
+                 "faults": self.preset.describe(run.schedule),
+                 "run": run.to_dict()}
+        if self.preset.shrinks:
+            shrink = self.shrinks.get(index)
+            entry["shrink"] = None if shrink is None else {
+                "minimal_digest": shrink.minimal.digest(),
+                "minimal_events": len(shrink.minimal.events),
+                "original_events": len(shrink.original.events),
+                "probes": shrink.probes,
+                "summary": shrink.summary(),
+                "minimal_faults": shrink.minimal.describe(),
+            }
+        if index in self.artifact_paths:
+            entry["artifact"] = self.artifact_paths[index]
+        return entry
+
     def to_dict(self) -> dict:
         """Canonical campaign summary (the CI smoke byte-compares this)."""
-        return {
-            "seed": self.seed,
-            "schedules": [
-                {
-                    "index": run.schedule.index,
-                    "digest": run.schedule.digest(),
-                    "scheme": run.schedule.scheme,
-                    "faults": run.schedule.describe(),
-                    "run": run.to_dict(),
-                    "shrink": (
-                        None if run.schedule.index not in self.shrinks
-                        else {
-                            "minimal_digest": self.shrinks[
-                                run.schedule.index].minimal.digest(),
-                            "minimal_events": len(self.shrinks[
-                                run.schedule.index].minimal.events),
-                            "original_events": len(self.shrinks[
-                                run.schedule.index].original.events),
-                            "probes": self.shrinks[
-                                run.schedule.index].probes,
-                        }),
-                }
-                for run in self.runs
-            ],
-            "violations": len(self.violations),
-        }
+        data = {"seed": self.seed,
+                self.preset.entries: [self._entry(run)
+                                      for run in self.runs],
+                "violations": len(self.violations)}
+        if self.preset.totals is not None:
+            data["totals"] = self.preset.totals(self.runs)
+        return data
 
     def report(self) -> str:
-        rows = []
-        for run in self.runs:
-            shrink = self.shrinks.get(run.schedule.index)
-            rows.append([
-                run.schedule.index, run.schedule.scheme,
-                run.schedule.digest(),
-                run.schedule.describe(),
-                f"{run.ops_completed}/{run.ops_expected}",
-                (f"{run.finished_at:.0f}"
-                 if run.finished_at is not None else "stuck"),
-                run.linearizability,
-                ("ok" if run.ok else
-                 f"FAIL->{len(shrink.minimal.events)}ev"
-                 if shrink else "FAIL"),
-            ])
-        table = format_table(
-            ["#", "scheme", "digest", "faults", "ops", "done-ms",
-             "linearizable", "verdict"], rows)
-        lines = [f"fuzz campaign: seed={self.seed}, "
-                 f"{len(self.runs)} schedule(s)", "", table, ""]
-        if self.ok:
-            lines.append(f"no invariant violations in {len(self.runs)} "
-                         f"runs")
-        else:
-            lines.append(f"{len(self.violations)} violation(s):")
-            for run, violation in self.violations:
-                lines.append(f"  - [#{run.schedule.index} "
-                             f"{run.schedule.scheme}] {violation}")
-            for index, shrink in sorted(self.shrinks.items()):
-                lines.append(f"  shrink [#{index}]: {shrink.summary()}")
-                lines.append(f"    minimal: "
-                             f"{shrink.minimal.describe()}")
-            for index, path in sorted(self.artifact_paths.items()):
-                lines.append(f"  artifact [#{index}]: {path}")
-            for run in self.runs:
-                if run.ok or not run.trace_notes:
-                    continue
-                lines.append(f"  trace context [#{run.schedule.index}]:")
-                for note in run.trace_notes:
-                    for note_line in note.splitlines():
-                        lines.append(f"    {note_line}")
-        return "\n".join(lines)
+        return self.preset.report(self.to_dict())
+
+
+def run_campaign(schedules: Iterable[FaultSchedule], seed: int,
+                 preset: Preset = FUZZ, shrink: bool = False,
+                 shrink_probes: int = 120,
+                 artifacts_dir: Optional[str] = None
+                 ) -> FuzzCampaignResult:
+    """Run every schedule; shrink and archive the violating ones."""
+    runs: list[ScheduleRunResult] = []
+    shrinks: dict[int, ShrinkResult] = {}
+    artifact_paths: dict[int, str] = {}
+    for schedule in schedules:
+        run = run_schedule(schedule)
+        runs.append(run)
+        if run.ok:
+            continue
+        index = schedule.index
+        shrunk = None
+        if shrink:
+            shrunk = shrink_schedule(schedule, run,
+                                     max_probes=shrink_probes)
+            shrinks[index] = shrunk
+        if artifacts_dir is not None:
+            os.makedirs(artifacts_dir, exist_ok=True)
+            if shrunk is not None:
+                artifact = make_artifact(shrunk.final_run, shrunk)
+                digest = shrunk.minimal.digest()
+            else:
+                artifact = make_artifact(run)
+                digest = schedule.digest()
+            path = os.path.join(
+                artifacts_dir,
+                f"repro-seed{seed}-i{index}-{digest}.json")
+            save_artifact(artifact, path)
+            artifact_paths[index] = path
+    return FuzzCampaignResult(seed=seed, runs=tuple(runs),
+                              shrinks=shrinks,
+                              artifact_paths=artifact_paths,
+                              preset=preset)
 
 
 def run_fuzz_campaign(num_schedules: int = 10, seed: int = 0,
@@ -153,40 +253,14 @@ def run_fuzz_campaign(num_schedules: int = 10, seed: int = 0,
     linearizability checker catches any schedule where parallel
     execution diverges from the sequential specification.
     """
-    runs: list[ScheduleRunResult] = []
-    shrinks: dict[int, ShrinkResult] = {}
-    artifact_paths: dict[int, str] = {}
-    for index in range(num_schedules):
-        schedule = generate_schedule(seed, index, schemes=schemes,
-                                     num_clients=num_clients,
-                                     ops_per_client=ops_per_client,
-                                     inject_bug=inject_bug,
-                                     supervisor=supervisor,
-                                     overload=overload,
-                                     disk=disk,
-                                     parallel=parallel)
-        run = run_schedule(schedule)
-        runs.append(run)
-        if run.ok:
-            continue
-        shrunk = None
-        if shrink:
-            shrunk = shrink_schedule(schedule, run,
-                                     max_probes=shrink_probes)
-            shrinks[index] = shrunk
-        if artifacts_dir is not None:
-            os.makedirs(artifacts_dir, exist_ok=True)
-            if shrunk is not None:
-                artifact = make_artifact(shrunk.final_run, shrunk)
-                digest = shrunk.minimal.digest()
-            else:
-                artifact = make_artifact(run)
-                digest = schedule.digest()
-            path = os.path.join(
-                artifacts_dir,
-                f"repro-seed{seed}-i{index}-{digest}.json")
-            save_artifact(artifact, path)
-            artifact_paths[index] = path
-    return FuzzCampaignResult(seed=seed, runs=tuple(runs),
-                              shrinks=shrinks,
-                              artifact_paths=artifact_paths)
+    schedules = (generate_schedule(seed, index, schemes=schemes,
+                                   num_clients=num_clients,
+                                   ops_per_client=ops_per_client,
+                                   inject_bug=inject_bug,
+                                   supervisor=supervisor,
+                                   overload=overload, disk=disk,
+                                   parallel=parallel)
+                 for index in range(num_schedules))
+    return run_campaign(schedules, seed, shrink=shrink,
+                        shrink_probes=shrink_probes,
+                        artifacts_dir=artifacts_dir)

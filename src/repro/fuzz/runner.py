@@ -1,10 +1,11 @@
 """Schedule-driven run: build a deployment, apply the faults, check.
 
 ``run_schedule`` is the single execution path behind the fuzzer, the
-replay artifact and (via scenario conversion) the chaos campaign: reset
-the global id counters, build the scheme's deployment, install every
-schedule event against the simulation clock, run the seeded client
-workload to completion, heal at the horizon, settle, then check
+replay artifact and the chaos and heal presets: reset the global id
+counters, build the scheme's key-value deployment
+(:mod:`repro.harness.kvworkload`), install every schedule event against
+the simulation clock, run the seeded client wave to completion, heal at
+the horizon, settle, then check
 
 * completion — every client op finished before the virtual deadline;
 * linearizability — the bounded Wing–Gong checker over the recorded
@@ -26,23 +27,22 @@ pointless) leave, not a crash of the harness.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.checkers import (INCONCLUSIVE, VIOLATION, History,
                             KvSequentialSpec, check_linearizable_bounded)
 from repro.fuzz.schedule import FaultSchedule, normalize_schedule
-from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.cluster import Cluster
 from repro.harness.faults import make_crash_restart, reset_id_counters
 from repro.harness.invariants import cluster_invariants
+from repro.harness.kvworkload import build_kv_cluster, cluster_seed, run_wave
 from repro.net import FailureInjector
 from repro.obs import CommandTracer, command_timeline, find_anomalies
 from repro.obs.report import slowest_traces
 from repro.qos import QosConfig
 from repro.resilience import RequestTimeout, RetryPolicy
-from repro.sim import SeedStream
-from repro.smr import Command, ExecutionConfig, ReplyStatus
+from repro.smr import Command, ExecutionConfig
 from repro.store import DurabilityConfig
 
 #: Settle time after the cooldown round before invariant checking (ms).
@@ -101,24 +101,6 @@ class ScheduleRunResult:
         }
 
 
-def _workload_command(rng: random.Random, keys: tuple) -> Command:
-    """The linearizability workload mix: reads, increments, swaps, sums."""
-    kind = rng.random()
-    if kind < 0.30:
-        key = rng.choice(keys)
-        return Command(op="get", args={"key": key}, variables=(key,))
-    if kind < 0.65:
-        key = rng.choice(keys)
-        return Command(op="incr", args={"key": key}, variables=(key,),
-                       writes=(key,))
-    if kind < 0.85:
-        a, b = rng.sample(keys, 2)
-        return Command(op="swap", args={"a": a, "b": b}, variables=(a, b),
-                       writes=(a, b))
-    picked = rng.sample(keys, 2)
-    return Command(op="sum", args={"keys": picked}, variables=tuple(picked))
-
-
 def _build_cluster(schedule: FaultSchedule, keys: tuple,
                    tracer) -> Cluster:
     if (schedule.inject_bug is not None
@@ -126,30 +108,23 @@ def _build_cluster(schedule: FaultSchedule, keys: tuple,
         raise ValueError(f"unknown injectable bug "
                          f"{schedule.inject_bug!r}; "
                          f"pick one of {INJECTABLE_BUGS}")
-    assignment = None
-    if schedule.scheme != "smr":
-        assignment = {key: i % 2 for i, key in enumerate(keys)}
-    cluster_seed = (SeedStream(schedule.seed).child(schedule.scheme)
-                    .stream(f"fuzz{schedule.index}").randrange(2**31))
     # qos=True arms the full overload-control stack with a token bucket
     # low enough that the generator's burst rates actually shed (the
     # fuzzer's execution model leaves the executors far from saturated,
     # so CoDel alone would rarely fire) plus a retry budget on every
     # client — the maximal surface for QoS x fault interactions.
-    cluster = Cluster(ClusterConfig(
-        scheme=schedule.scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed,
+    return build_kv_cluster(
+        schedule.scheme,
+        cluster_seed(schedule.seed, schedule.scheme,
+                     f"fuzz{schedule.index}"),
+        keys, tracer=tracer,
         retry_policy=RetryPolicy(budget_ratio=0.2 if schedule.qos
                                  else None),
-        initial_assignment=assignment,
         dedup=schedule.inject_bug != "no_dedup",
         qos=QosConfig(rate_per_s=2_000.0) if schedule.qos else None,
         durability=DurabilityConfig() if schedule.durability else None,
         parallel=ExecutionConfig(workers=4) if schedule.parallel
-        else None),
-        tracer=tracer)
-    cluster.preload({key: 0 for key in keys})
-    return cluster
+        else None)
 
 
 def _overload_burst(cluster: Cluster, event: dict, burst_index: int,
@@ -235,7 +210,7 @@ def _apply_schedule(cluster: Cluster, injector: FailureInjector,
                 injector.crash_restart_at(event["at"], self_name,
                                           event["duration"],
                                           crash=crash, restart=restart)
-        elif kind == "join":
+        elif kind in ("join", "leave"):
             if cluster.reconfig is None:
                 skip(event, f"{schedule.scheme} is not elastic")
                 continue
@@ -243,41 +218,24 @@ def _apply_schedule(cluster: Cluster, injector: FailureInjector,
             done = env.event()
             reconfig_done.append(done)
 
-            def start_join(partition=partition, done=done):
+            def start_reconfig(kind=kind, partition=partition, done=done):
                 def run():
-                    if partition in cluster.partitions:
+                    joined = partition in cluster.partitions
+                    if kind == "join" and joined:
                         skipped.append(f"join@{env.now:.0f}: "
                                        f"{partition} already joined")
-                    else:
-                        yield from cluster.grow(partition)
-                    done.succeed(None)
-                    return
-                    yield  # pragma: no cover — makes run() a generator
-                env.process(run(), name=f"fuzz/join-{partition}")
-
-            env.schedule_callback(event["at"], start_join)
-        elif kind == "leave":
-            if cluster.reconfig is None:
-                skip(event, f"{schedule.scheme} is not elastic")
-                continue
-            partition = event["partition"]
-            done = env.event()
-            reconfig_done.append(done)
-
-            def start_leave(partition=partition, done=done):
-                def run():
-                    if partition not in cluster.partitions:
+                    elif kind == "leave" and not joined:
                         skipped.append(f"leave@{env.now:.0f}: "
                                        f"{partition} not in the "
                                        f"configuration")
+                    elif kind == "join":
+                        yield from cluster.grow(partition)
                     else:
                         yield from cluster.shrink(partition)
                     done.succeed(None)
-                    return
-                    yield  # pragma: no cover
-                env.process(run(), name=f"fuzz/leave-{partition}")
+                env.process(run(), name=f"fuzz/{kind}-{partition}")
 
-            env.schedule_callback(event["at"], start_leave)
+            env.schedule_callback(event["at"], start_reconfig)
         elif kind == "overload":
             burst_index = len([e for e in schedule.events
                                if e["kind"] == "overload"
@@ -367,31 +325,10 @@ def run_schedule(schedule: FaultSchedule,
 
     # -- workload ----------------------------------------------------------
     history = History()
-    status = {"completed": 0, "finished_clients": 0}
-    workload_done = env.event()
-    clients = [cluster.new_client(f"c{i}")
-               for i in range(schedule.num_clients)]
-    workload_tag = (f"{schedule.seed}/{schedule.scheme}/"
-                    f"fuzz{schedule.index}")
-
-    def client_loop(client, index):
-        rng = random.Random(f"{workload_tag}/{index}")
-        for _ in range(schedule.ops_per_client):
-            command = _workload_command(rng, keys)
-            invoked = env.now
-            reply = yield from client.run_command(command)
-            result = reply.value if reply.status is not ReplyStatus.NOK \
-                else str(reply.value)
-            history.record(client.name, command.op, command.args,
-                           result, invoked, env.now)
-            status["completed"] += 1
-            yield env.timeout(rng.uniform(0.0, 1.0))
-        status["finished_clients"] += 1
-        if status["finished_clients"] == schedule.num_clients:
-            workload_done.succeed(None)
-
-    for index, client in enumerate(clients):
-        env.process(client_loop(client, index), name=f"fuzz/{client.name}")
+    status, workload_done = run_wave(
+        cluster, schedule.num_clients, schedule.ops_per_client,
+        f"{schedule.seed}/{schedule.scheme}/fuzz{schedule.index}",
+        history=history, keys=keys)
     end_marker = {"at": None}
 
     def driver():

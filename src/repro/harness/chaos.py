@@ -1,16 +1,18 @@
 """Chaos campaign: randomized fault schedules against every scheme.
 
-Each scenario is drawn from a seeded generator — a mix of message drops,
-latency spikes, duplication, bounded reordering, a network partition window
-and a crash-restart whose victim is drawn by *role*: followers die with
-amnesia and recover through :mod:`repro.smr.recovery` (classic SMR) or
-checkpoint-install recovery (:mod:`repro.reconfig.recovery`); speakers
-and oracle replicas suffer a network blackout and reconnect with their
-in-memory ordering state intact (no recovery path can rebuild a
-sequencer). The campaign runs each scenario against classic SMR, S-SMR
-and DS-SMR deployments whose clients use the resilience layer
-(:mod:`repro.resilience`), then checks the system's guarantees after the
-network heals:
+A preset of the schedule campaign (:mod:`repro.fuzz.campaign`). Each
+scenario is drawn from a seeded generator — a mix of message drops,
+latency spikes, duplication, bounded reordering, a network partition
+window and a crash-restart whose victim is drawn by *role*: followers
+die with amnesia and recover through :mod:`repro.smr.recovery` (classic
+SMR) or checkpoint-install recovery (:mod:`repro.reconfig.recovery`);
+speakers and oracle replicas suffer a network blackout and reconnect
+with their in-memory ordering state intact (no recovery path can
+rebuild a sequencer). :func:`generate_chaos_schedule` emits the scenario
+for one scheme as a :class:`~repro.fuzz.schedule.FaultSchedule`, and the
+campaign runs it against classic SMR, S-SMR and DS-SMR deployments whose
+clients use the resilience layer (:mod:`repro.resilience`), then checks
+the system's guarantees after the network heals:
 
 * every client request completed before the deadline;
 * the recorded history is linearizable (Wing–Gong checker);
@@ -19,430 +21,153 @@ network heals:
   map accuracy and configuration-epoch agreement.
 
 Everything — fault schedule, workload, backoff jitter — derives from the
-campaign seed, so ``run_campaign(n, seed)`` is fully deterministic: two
-runs produce byte-identical reports. The CLI entry point is
+campaign seed, so ``run_chaos_campaign(n, seed)`` is fully deterministic:
+two runs produce byte-identical reports. Because a scenario *is* a fuzz
+schedule, any chaos run can be shrunk or replayed with the fuzzer's
+tooling. The CLI entry point is
 ``python -m repro chaos --scenarios N --seed S``.
-
-Execution is shared with the fuzzer: a :class:`ChaosScenario` converts to
-a :class:`~repro.fuzz.schedule.FaultSchedule` (:meth:`to_schedule`) and
-:func:`run_scenario` delegates to :func:`repro.fuzz.runner.run_schedule`,
-so both harnesses exercise the exact same build/inject/workload/check
-path and any chaos scenario can be shrunk or replayed with the fuzzer's
-tooling.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
+from repro.fuzz.campaign import (FAULTS_OPS_DONE, FuzzCampaignResult,
+                                 Preset, run_campaign, run_cell)
 from repro.fuzz.generate import shape_nodes
 from repro.fuzz.schedule import FaultSchedule
-from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.faults import VICTIM_ROLES, reset_id_counters
-from repro.harness.report import format_table
-from repro.net import FailureInjector
-from repro.resilience import RetryPolicy
+from repro.harness.faults import VICTIM_ROLES
+from repro.harness.kvworkload import KEYS
 from repro.sim import SeedStream
-from repro.smr import Command, ReplyStatus
 
 #: Schemes every scenario is run against.
 CHAOS_SCHEMES = ("smr", "ssmr", "dssmr")
 
-#: Keys preloaded into every cluster (spread over both partitions).
-KEYS = tuple(f"k{i}" for i in range(6))
-INITIAL = {key: 0 for key in KEYS}
-
 #: Virtual-time bounds of one scenario run (ms).
+FAULT_END_MS = 300.0
 DEADLINE_MS = 8_000.0
-SETTLE_MS = 400.0
 
 
-# Canonical implementation lives with the other shared fault helpers;
-# the alias keeps this module's historical import surface
-# (repro.harness.elastic and older tests import it from here).
-_reset_id_counters = reset_id_counters
+def _crash_victim(scheme: str, role: str, slot: int) -> tuple[str, str]:
+    """Resolve a crash ``role`` to ``(node, mode)`` for ``scheme``.
 
-
-# ---------------------------------------------------------------------------
-# scenario generation
-
-
-@dataclass(frozen=True)
-class ChaosScenario:
-    """One seeded fault schedule (times in virtual ms).
-
-    Optional faults are ``None`` when the scenario does not include them;
-    ``crash`` is ``(time, partition_index, recover_time)`` and
-    ``crash_role`` picks the victim position: a *follower* dies with
-    amnesia and runs full recovery, a *speaker* (sequencer) or *oracle*
-    replica suffers a network blackout and reconnects with state intact.
+    Mirrors :func:`repro.harness.faults.select_victim` but works on the
+    *static* deployment shape (:func:`shape_nodes`), so the schedule is
+    built before any cluster exists. The oracle role degrades to speaker
+    on schemes without an oracle group.
     """
-
-    index: int
-    fault_end: float
-    drop_fraction: float
-    delay: Optional[tuple] = None        # (fraction, spike_ms)
-    duplicate: Optional[tuple] = None    # (fraction, extra_copies)
-    reorder: Optional[tuple] = None      # (fraction, window_ms)
-    partition_window: Optional[tuple] = None   # (start, end)
-    crash: Optional[tuple] = None        # (time, partition_index, recover)
-    crash_role: str = "follower"         # follower | speaker | oracle
-
-    def describe(self) -> str:
-        parts = [f"drop={self.drop_fraction:.3f}"]
-        if self.delay:
-            parts.append(f"delay({self.delay[0]:.2f},{self.delay[1]:.0f}ms)")
-        if self.duplicate:
-            parts.append(f"dup({self.duplicate[0]:.2f})")
-        if self.reorder:
-            parts.append(f"reorder({self.reorder[0]:.2f})")
-        if self.partition_window:
-            start, end = self.partition_window
-            parts.append(f"split[{start:.0f},{end:.0f})")
-        if self.crash:
-            parts.append(f"crash({self.crash_role}:p{self.crash[1]}"
-                         f"@{self.crash[0]:.0f})")
-        return " ".join(parts)
-
-    def _crash_victim(self, scheme: str) -> tuple[str, str]:
-        """Resolve ``crash_role`` to ``(node, mode)`` for ``scheme``.
-
-        Mirrors :func:`repro.harness.faults.select_victim` but works on
-        the *static* deployment shape (:func:`shape_nodes`), so the
-        schedule can be built before any cluster exists. The oracle role
-        degrades to speaker on schemes without an oracle group.
-        """
-        shape = shape_nodes(scheme)
-        _, partition_index, _ = self.crash
-        role = self.crash_role
-        if role == "oracle" and not shape["oracles"]:
-            role = "speaker"
-        if role == "oracle":
-            pool = shape["oracles"]
-            return pool[partition_index % len(pool)], "blackout"
-        if role == "speaker":
-            pool = shape["speakers"]
-            return pool[partition_index % len(pool)], "blackout"
-        pool = shape["followers"]
-        return pool[partition_index % len(pool)], "restart"
-
-    def to_schedule(self, scheme: str, seed: int,
-                    num_clients: int = 3, ops_per_client: int = 8,
-                    dedup: bool = True,
-                    supervisor: bool = False) -> FaultSchedule:
-        """The equivalent :class:`FaultSchedule` (the fuzzer's format).
-
-        The conversion is what lets :func:`run_scenario` delegate to the
-        shared schedule runner — and what makes any chaos scenario
-        shrinkable and replayable with the fuzzer's tooling.
-        """
-        shape = shape_nodes(scheme)
-        events: list[dict] = [{"kind": "drop", "at": 0.0,
-                               "end": self.fault_end,
-                               "fraction": self.drop_fraction}]
-        if self.delay:
-            events.append({"kind": "delay", "at": 0.0,
-                           "end": self.fault_end,
-                           "fraction": self.delay[0],
-                           "spike_ms": self.delay[1]})
-        if self.duplicate:
-            events.append({"kind": "duplicate", "at": 0.0,
-                           "end": self.fault_end,
-                           "fraction": self.duplicate[0],
-                           "copies": self.duplicate[1]})
-        if self.reorder:
-            events.append({"kind": "reorder", "at": 0.0,
-                           "end": self.fault_end,
-                           "fraction": self.reorder[0],
-                           "window_ms": self.reorder[1]})
-        if self.partition_window:
-            start, end = self.partition_window
-            if len(shape["partitions"]) > 1:
-                island_a = list(shape["servers"][shape["partitions"][0]])
-                island_b = list(shape["servers"][shape["partitions"][1]])
-            else:   # classic SMR: cut the follower off from the sequencer
-                members = shape["servers"][shape["partitions"][0]]
-                island_a, island_b = [members[0]], list(members[1:])
-            events.append({"kind": "partition", "at": start, "end": end,
-                           "island_a": island_a, "island_b": island_b})
-        if self.crash:
-            crash_time, _, recover_time = self.crash
-            node, mode = self._crash_victim(scheme)
-            events.append({"kind": "crash", "at": crash_time,
-                           "node": node, "mode": mode,
-                           "duration": recover_time - crash_time})
-        return FaultSchedule(
-            seed=seed, index=self.index, scheme=scheme,
-            events=tuple(events), horizon_ms=self.fault_end,
-            deadline_ms=DEADLINE_MS, num_clients=num_clients,
-            ops_per_client=ops_per_client, num_keys=len(KEYS),
-            inject_bug=None if dedup else "no_dedup",
-            supervisor=supervisor)
+    shape = shape_nodes(scheme)
+    if role == "oracle" and shape["oracles"]:
+        pool, mode = shape["oracles"], "blackout"
+    elif role == "follower":
+        pool, mode = shape["followers"], "restart"
+    else:
+        pool, mode = shape["speakers"], "blackout"
+    return pool[slot % len(pool)], mode
 
 
-def generate_scenario(seed: int, index: int,
-                      fault_end: float = 300.0) -> ChaosScenario:
-    """Draw scenario ``index`` of campaign ``seed`` (pure function)."""
+def _partition_islands(shape: dict) -> tuple[list, list]:
+    """The two sides of a chaos split: partition against partition, or
+    (classic SMR) the follower cut off from the sequencer."""
+    if len(shape["partitions"]) > 1:
+        return (list(shape["servers"][shape["partitions"][0]]),
+                list(shape["servers"][shape["partitions"][1]]))
+    members = shape["servers"][shape["partitions"][0]]
+    return [members[0]], list(members[1:])
+
+
+def generate_chaos_schedule(seed: int, index: int, scheme: str,
+                            num_clients: int = 3,
+                            ops_per_client: int = 8) -> FaultSchedule:
+    """Draw scenario ``index`` of campaign ``seed`` for ``scheme``.
+
+    A pure function. The draws do not depend on ``scheme``, so every
+    scheme of a campaign faces the same scenario; crash events also
+    record the drawn ``role`` and partition ``slot`` for the report.
+    """
     rng = SeedStream(seed).child("scenario").stream(f"s{index}")
-    drop_fraction = round(rng.uniform(0.005, 0.025), 4)
-    delay = duplicate = reorder = partition_window = crash = None
-    crash_role = "follower"
+    end = FAULT_END_MS
+    events: list[dict] = [{"kind": "drop", "at": 0.0, "end": end,
+                           "fraction": round(rng.uniform(0.005, 0.025),
+                                             4)}]
     if rng.random() < 0.5:
-        delay = (round(rng.uniform(0.05, 0.20), 3),
-                 round(rng.uniform(5.0, 20.0), 2))
+        events.append({"kind": "delay", "at": 0.0, "end": end,
+                       "fraction": round(rng.uniform(0.05, 0.20), 3),
+                       "spike_ms": round(rng.uniform(5.0, 20.0), 2)})
     if rng.random() < 0.5:
-        duplicate = (round(rng.uniform(0.05, 0.20), 3), 1)
+        events.append({"kind": "duplicate", "at": 0.0, "end": end,
+                       "fraction": round(rng.uniform(0.05, 0.20), 3),
+                       "copies": 1})
     if rng.random() < 0.5:
-        reorder = (round(rng.uniform(0.10, 0.30), 3),
-                   round(rng.uniform(1.0, 4.0), 2))
+        events.append({"kind": "reorder", "at": 0.0, "end": end,
+                       "fraction": round(rng.uniform(0.10, 0.30), 3),
+                       "window_ms": round(rng.uniform(1.0, 4.0), 2)})
     if rng.random() < 0.4:
         start = round(rng.uniform(40.0, 180.0), 1)
-        partition_window = (start,
-                            round(start + rng.uniform(30.0, 60.0), 1))
+        island_a, island_b = _partition_islands(shape_nodes(scheme))
+        events.append({"kind": "partition", "at": start,
+                       "end": round(start + rng.uniform(30.0, 60.0), 1),
+                       "island_a": island_a, "island_b": island_b})
     if rng.random() < 0.4:
         time = round(rng.uniform(40.0, 150.0), 1)
-        crash = (time, rng.randrange(2),
-                 round(time + rng.uniform(50.0, 100.0), 1))
-        crash_role = VICTIM_ROLES[rng.randrange(len(VICTIM_ROLES))]
-    return ChaosScenario(index=index, fault_end=fault_end,
-                         drop_fraction=drop_fraction, delay=delay,
-                         duplicate=duplicate, reorder=reorder,
-                         partition_window=partition_window, crash=crash,
-                         crash_role=crash_role)
+        slot = rng.randrange(2)
+        recover = round(time + rng.uniform(50.0, 100.0), 1)
+        role = VICTIM_ROLES[rng.randrange(len(VICTIM_ROLES))]
+        node, mode = _crash_victim(scheme, role, slot)
+        events.append({"kind": "crash", "at": time, "node": node,
+                       "mode": mode, "duration": recover - time,
+                       "role": role, "slot": slot})
+    return FaultSchedule(
+        seed=seed, index=index, scheme=scheme, events=tuple(events),
+        horizon_ms=end, deadline_ms=DEADLINE_MS, num_clients=num_clients,
+        ops_per_client=ops_per_client, num_keys=len(KEYS))
 
 
-# ---------------------------------------------------------------------------
-# one scenario run
+def describe_chaos(schedule: FaultSchedule) -> str:
+    """The chaos report's fault summary (the same for every scheme)."""
+    events = {event["kind"]: event for event in schedule.events}
+    parts = [f"drop={events['drop']['fraction']:.3f}"]
+    if "delay" in events:
+        parts.append(f"delay({events['delay']['fraction']:.2f},"
+                     f"{events['delay']['spike_ms']:.0f}ms)")
+    if "duplicate" in events:
+        parts.append(f"dup({events['duplicate']['fraction']:.2f})")
+    if "reorder" in events:
+        parts.append(f"reorder({events['reorder']['fraction']:.2f})")
+    if "partition" in events:
+        parts.append(f"split[{events['partition']['at']:.0f},"
+                     f"{events['partition']['end']:.0f})")
+    if "crash" in events:
+        crash = events["crash"]
+        parts.append(f"crash({crash['role']}:p{crash['slot']}"
+                     f"@{crash['at']:.0f})")
+    return " ".join(parts)
 
 
-@dataclass
-class ScenarioResult:
-    """Outcome of one (scenario, scheme) run."""
-
-    scheme: str
-    scenario: ChaosScenario
-    ops_completed: int
-    ops_expected: int
-    finished_at: Optional[float]    # virtual ms; None if the run got stuck
-    timeouts: int
-    resends: int
-    messages_sent: int
-    violations: tuple[str, ...]
-    # Trace context for failed runs: stuck commands, anomaly flags and the
-    # slowest command's timeline — enough to start debugging without
-    # re-running the scenario. Empty when the run passed.
-    trace_notes: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+def _title(data: dict) -> str:
+    entries = data["schedules"]
+    schemes = sorted({entry["scheme"] for entry in entries},
+                     key=CHAOS_SCHEMES.index)
+    scenarios = {entry["index"] for entry in entries}
+    return (f"chaos campaign: seed={data['seed']}, "
+            f"{len(scenarios)} scenario(s) x {'/'.join(schemes)}")
 
 
-def _random_access(rng: random.Random) -> Command:
-    """The linearizability workload mix: reads, increments, swaps, sums."""
-    kind = rng.random()
-    if kind < 0.30:
-        key = rng.choice(KEYS)
-        return Command(op="get", args={"key": key}, variables=(key,))
-    if kind < 0.65:
-        key = rng.choice(KEYS)
-        return Command(op="incr", args={"key": key}, variables=(key,),
-                       writes=(key,))
-    if kind < 0.85:
-        a, b = rng.sample(KEYS, 2)
-        return Command(op="swap", args={"a": a, "b": b}, variables=(a, b),
-                       writes=(a, b))
-    keys = rng.sample(KEYS, 2)
-    return Command(op="sum", args={"keys": keys}, variables=tuple(keys))
+#: The chaos campaign's preset: no shrinking, resilience columns.
+CHAOS = Preset(title=_title,
+               columns=(*FAULTS_OPS_DONE,
+                        ("timeouts", run_cell("timeouts")),
+                        ("resends", run_cell("resends"))),
+               describe=describe_chaos, shrinks=False)
 
 
-def _build_cluster(scheme: str, seed: int, tag: str,
-                   dedup: bool = True, tracer=None) -> Cluster:
-    assignment = None
-    if scheme != "smr":
-        assignment = {key: i % 2 for i, key in enumerate(KEYS)}
-    cluster_seed = SeedStream(seed).child(scheme).stream(tag).randrange(2**31)
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        initial_assignment=assignment, dedup=dedup), tracer=tracer)
-    cluster.preload(dict(INITIAL))
-    return cluster
-
-
-def _spawn_workload(cluster: Cluster, history: Optional[History],
-                    num_clients: int, ops_per_client: int,
-                    workload_tag: str):
-    """Start client processes; returns (status dict, all-done event)."""
-    env = cluster.env
-    status = {"completed": 0, "finished_clients": 0}
-    done = env.event()
-    clients = [cluster.new_client(f"c{i}") for i in range(num_clients)]
-
-    def loop(client, index):
-        rng = random.Random(f"{workload_tag}/{index}")
-        for _ in range(ops_per_client):
-            command = _random_access(rng)
-            invoked = env.now
-            reply = yield from client.run_command(command)
-            result = reply.value if reply.status is not ReplyStatus.NOK \
-                else str(reply.value)
-            if history is not None:
-                history.record(client.name, command.op, command.args,
-                               result, invoked, env.now)
-            status["completed"] += 1
-            yield env.timeout(rng.uniform(0.0, 1.0))
-        status["finished_clients"] += 1
-        if status["finished_clients"] == num_clients:
-            done.succeed(None)
-
-    for index, client in enumerate(clients):
-        env.process(loop(client, index), name=f"chaos/{client.name}")
-    return status, done
-
-
-def run_scenario(scheme: str, scenario: ChaosScenario, seed: int,
-                 num_clients: int = 3, ops_per_client: int = 8,
-                 dedup: bool = True,
-                 supervisor: bool = False) -> ScenarioResult:
-    """Run one scenario against one scheme and check every invariant.
-
-    Delegates to the schedule runner shared with the fuzzer
-    (:func:`repro.fuzz.runner.run_schedule`): one build/inject/workload/
-    check path for both harnesses. With ``supervisor=True`` the scenario
-    runs under the autonomous recovery supervisor (:mod:`repro.heal`)
-    and crash events get no harness-driven restart.
-    """
-    # Imported here, not at module top: the runner imports the cluster
-    # harness, whose package init imports this module — a cycle that only
-    # resolves when neither side needs the other at import time.
-    from repro.fuzz.runner import run_schedule
-
-    schedule = scenario.to_schedule(scheme, seed, num_clients=num_clients,
-                                    ops_per_client=ops_per_client,
-                                    dedup=dedup, supervisor=supervisor)
-    run = run_schedule(schedule)
-    return ScenarioResult(
-        scheme=scheme, scenario=scenario,
-        ops_completed=run.ops_completed, ops_expected=run.ops_expected,
-        finished_at=run.finished_at, timeouts=run.timeouts,
-        resends=run.resends, messages_sent=run.messages_sent,
-        violations=run.violations, trace_notes=run.trace_notes)
-
-
-# ---------------------------------------------------------------------------
-# campaign
-
-
-@dataclass
-class CampaignResult:
-    """All scenario runs of one campaign, plus the printable report."""
-
-    seed: int
-    results: tuple[ScenarioResult, ...]
-
-    @property
-    def violations(self) -> list[tuple[ScenarioResult, str]]:
-        return [(result, violation) for result in self.results
-                for violation in result.violations]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def report(self) -> str:
-        schemes = sorted({result.scheme for result in self.results},
-                         key=CHAOS_SCHEMES.index)
-        scenarios = {result.scenario.index for result in self.results}
-        rows = []
-        for result in self.results:
-            rows.append([
-                result.scenario.index, result.scheme,
-                result.scenario.describe(),
-                f"{result.ops_completed}/{result.ops_expected}",
-                (f"{result.finished_at:.0f}"
-                 if result.finished_at is not None else "stuck"),
-                result.timeouts, result.resends,
-                "ok" if result.ok else "FAIL",
-            ])
-        table = format_table(
-            ["#", "scheme", "faults", "ops", "done-ms",
-             "timeouts", "resends", "verdict"], rows)
-        lines = [f"chaos campaign: seed={self.seed}, "
-                 f"{len(scenarios)} scenario(s) x "
-                 f"{'/'.join(schemes)}", "", table, ""]
-        if self.ok:
-            lines.append(f"no invariant violations in "
-                         f"{len(self.results)} runs")
-        else:
-            lines.append(f"{len(self.violations)} violation(s):")
-            for result, violation in self.violations:
-                lines.append(f"  - [{result.scheme} #"
-                             f"{result.scenario.index}] {violation}")
-            for result in self.results:
-                if result.ok or not result.trace_notes:
-                    continue
-                lines.append(f"  trace context [{result.scheme} "
-                             f"#{result.scenario.index}]:")
-                for note in result.trace_notes:
-                    for note_line in note.splitlines():
-                        lines.append(f"    {note_line}")
-        return "\n".join(lines)
-
-
-def run_campaign(num_scenarios: int = 10, seed: int = 0,
-                 schemes: Sequence[str] = CHAOS_SCHEMES,
-                 num_clients: int = 3, ops_per_client: int = 8,
-                 dedup: bool = True,
-                 supervisor: bool = False) -> CampaignResult:
+def run_chaos_campaign(num_scenarios: int = 10, seed: int = 0,
+                       schemes: Sequence[str] = CHAOS_SCHEMES,
+                       num_clients: int = 3,
+                       ops_per_client: int = 8) -> FuzzCampaignResult:
     """Run ``num_scenarios`` seeded scenarios against every scheme."""
-    results = []
-    for index in range(num_scenarios):
-        scenario = generate_scenario(seed, index)
-        for scheme in schemes:
-            results.append(run_scenario(
-                scheme, scenario, seed, num_clients=num_clients,
-                ops_per_client=ops_per_client, dedup=dedup,
-                supervisor=supervisor))
-    return CampaignResult(seed=seed, results=tuple(results))
-
-
-# ---------------------------------------------------------------------------
-# overhead measurement (experiment E15)
-
-
-def run_overhead_point(scheme: str, drop_fraction: float, seed: int,
-                       num_clients: int = 4,
-                       ops_per_client: int = 15) -> dict:
-    """Throughput/latency of the resilience layer at one drop rate."""
-    _reset_id_counters()
-    cluster = _build_cluster(scheme, seed, f"overhead{drop_fraction}")
-    env = cluster.env
-    if drop_fraction:
-        injector = FailureInjector(env, cluster.network,
-                                   cluster.seeds.child("overhead"))
-        injector.drop_fraction(drop_fraction)
-    status, done = _spawn_workload(
-        cluster, None, num_clients, ops_per_client,
-        workload_tag=f"{seed}/{scheme}/overhead/{drop_fraction}")
-    end_marker = {"at": None}
-
-    def driver():
-        yield done
-        end_marker["at"] = env.now
-
-    env.process(driver(), name="chaos/overhead")
-    env.run(until=DEADLINE_MS * 4)
-    elapsed = end_marker["at"] or env.now
-    total = num_clients * ops_per_client
-    return {
-        "completed": status["completed"],
-        "total": total,
-        "throughput": total / (elapsed / 1000.0) if elapsed else 0.0,
-        "mean_ms": cluster.latency.mean(),
-        "p95_ms": cluster.latency.percentile(95),
-        "timeouts": sum(c.timeouts for c in cluster.clients),
-        "resends": sum(c.resends for c in cluster.clients),
-    }
+    schedules = (generate_chaos_schedule(seed, index, scheme,
+                                         num_clients=num_clients,
+                                         ops_per_client=ops_per_client)
+                 for index in range(num_scenarios) for scheme in schemes)
+    return run_campaign(schedules, seed, preset=CHAOS)

@@ -21,43 +21,26 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.checkers import History, KvSequentialSpec, check_linearizable
-from repro.harness.chaos import _reset_id_counters
-from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.faults import reset_id_counters
 from repro.harness.invariants import cluster_invariants
+from repro.harness.kvworkload import (build_kv_cluster, cluster_seed,
+                                      kv_command, run_wave)
 from repro.harness.report import format_table
 from repro.net import FailureInjector
 from repro.obs import CommandTracer
-from repro.resilience import RetryPolicy
-from repro.sim import SeedStream
-from repro.smr import Command, ExecutionModel, ReplyStatus
+from repro.smr import Command, ExecutionModel
 
 #: Preloaded keys (spread over the two initial partitions).
 ELASTIC_KEYS = tuple(f"k{i:02d}" for i in range(24))
+#: A write-heavier mix than the campaigns' default (see ``kv_command``).
+ELASTIC_MIX = (0.30, 0.70, 0.88)
 
 DEADLINE_MS = 12_000.0
 SETTLE_MS = 400.0
 BUCKET_MS = 40.0
-
-
-def _random_access(rng: random.Random, keys) -> Command:
-    kind = rng.random()
-    if kind < 0.30:
-        key = rng.choice(keys)
-        return Command(op="get", args={"key": key}, variables=(key,))
-    if kind < 0.70:
-        key = rng.choice(keys)
-        return Command(op="incr", args={"key": key}, variables=(key,),
-                       writes=(key,))
-    if kind < 0.88:
-        a, b = rng.sample(keys, 2)
-        return Command(op="swap", args={"a": a, "b": b}, variables=(a, b),
-                       writes=(a, b))
-    chosen = rng.sample(keys, 2)
-    return Command(op="sum", args={"keys": chosen},
-                   variables=tuple(chosen))
 
 
 def _timeline(completions, end: float, bucket_ms: float = BUCKET_MS):
@@ -90,38 +73,47 @@ class ElasticResult:
     def ok(self) -> bool:
         return not self.violations
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
     def metrics_json(self) -> str:
-        """Canonical JSON of the scrape — byte-stable across same-seed
-        runs (the determinism artifact the CI smoke compares)."""
-        return json.dumps({"seed": self.seed, "scheme": self.scheme,
-                           "epoch": self.epoch,
-                           "newcomer_keys": self.newcomer_keys,
-                           "ops": self.ops_completed,
-                           "timeline": self.timeline,
-                           "metrics": self.metrics},
+        """Canonical JSON of the scrape (see :func:`canonical_metrics`)."""
+        return json.dumps(canonical_metrics(self.to_dict()),
                           sort_keys=True, separators=(",", ":"))
 
     def report(self) -> str:
-        rows = [["ops", f"{self.ops_completed}/{self.ops_expected}"],
-                ["finished-ms", (f"{self.finished_at:.0f}"
-                                 if self.finished_at is not None
-                                 else "stuck")],
-                ["epoch", self.epoch],
-                ["newcomer-keys", self.newcomer_keys],
-                ["recovery", "installed" if self.recovery_installed
-                 else "MISSING"],
-                ["keys-migrated",
-                 self.metrics.get("reconfig.keys_migrated", 0)],
-                ["checkpoints",
-                 self.metrics.get("reconfig.checkpoints", 0)],
-                ["verdict", "ok" if self.ok else "FAIL"]]
-        lines = [f"elastic scenario: seed={self.seed} scheme={self.scheme}",
-                 "", format_table(["metric", "value"], rows)]
-        if self.violations:
-            lines.append("")
-            lines.extend(f"  - {violation}"
-                         for violation in self.violations)
-        return "\n".join(lines)
+        return format_elastic_report(self.to_dict())
+
+
+def canonical_metrics(data: dict) -> dict:
+    """The scrape of an :meth:`ElasticResult.to_dict` that is byte-stable
+    across same-seed runs (the determinism artifact CI compares)."""
+    return {"seed": data["seed"], "scheme": data["scheme"],
+            "epoch": data["epoch"], "newcomer_keys": data["newcomer_keys"],
+            "ops": data["ops_completed"], "timeline": data["timeline"],
+            "metrics": data["metrics"]}
+
+
+def format_elastic_report(data: dict) -> str:
+    metrics = data["metrics"]
+    rows = [["ops", f"{data['ops_completed']}/{data['ops_expected']}"],
+            ["finished-ms", (f"{data['finished_at']:.0f}"
+                             if data["finished_at"] is not None
+                             else "stuck")],
+            ["epoch", data["epoch"]],
+            ["newcomer-keys", data["newcomer_keys"]],
+            ["recovery", "installed" if data["recovery_installed"]
+             else "MISSING"],
+            ["keys-migrated", metrics.get("reconfig.keys_migrated", 0)],
+            ["checkpoints", metrics.get("reconfig.checkpoints", 0)],
+            ["verdict", "FAIL" if data["violations"] else "ok"]]
+    lines = [f"elastic scenario: seed={data['seed']} "
+             f"scheme={data['scheme']}",
+             "", format_table(["metric", "value"], rows)]
+    if data["violations"]:
+        lines.append("")
+        lines.extend(f"  - {violation}" for violation in data["violations"])
+    return "\n".join(lines)
 
 
 def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
@@ -132,17 +124,9 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
                          join_at: float = 220.0,
                          fault_end: float = 340.0) -> ElasticResult:
     """One full elastic scenario: crash-restart + live join under chaos."""
-    _reset_id_counters()
-    tracer = CommandTracer()
-    assignment = {key: i % 2 for i, key in enumerate(ELASTIC_KEYS)}
-    cluster_seed = SeedStream(seed).child("elastic").stream(scheme) \
-        .randrange(2**31)
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        initial_assignment=assignment), tracer=tracer)
-    initial = {key: 0 for key in ELASTIC_KEYS}
-    cluster.preload(dict(initial))
+    reset_id_counters()
+    cluster = build_kv_cluster(scheme, cluster_seed(seed, "elastic", scheme),
+                               ELASTIC_KEYS, tracer=CommandTracer())
     env = cluster.env
 
     injector = FailureInjector(env, cluster.network,
@@ -175,30 +159,10 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
     # -- workload (same shape as the chaos campaign, paced so the
     # crash/recovery/join land mid-run) ------------------------------------
     history = History()
-    status = {"completed": 0, "finished": 0}
-    completions: list[float] = []
-    done = env.event()
-    clients = [cluster.new_client(f"c{i}") for i in range(num_clients)]
-
-    def loop(client, index):
-        rng = random.Random(f"elastic/{seed}/{index}")
-        for _ in range(ops_per_client):
-            command = _random_access(rng, ELASTIC_KEYS)
-            invoked = env.now
-            reply = yield from client.run_command(command)
-            result = reply.value if reply.status is not ReplyStatus.NOK \
-                else str(reply.value)
-            history.record(client.name, command.op, command.args,
-                           result, invoked, env.now)
-            status["completed"] += 1
-            completions.append(env.now)
-            yield env.timeout(rng.uniform(3.0, 9.0))
-        status["finished"] += 1
-        if status["finished"] == num_clients:
-            done.succeed(None)
-
-    for index, client in enumerate(clients):
-        env.process(loop(client, index), name=f"elastic/{client.name}")
+    status, done = run_wave(cluster, num_clients, ops_per_client,
+                            f"elastic/{seed}", history=history,
+                            keys=ELASTIC_KEYS, mix=ELASTIC_MIX,
+                            think_ms=(3.0, 9.0))
 
     end_marker = {"at": None}
 
@@ -225,7 +189,8 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
     if status["completed"] != expected or end_marker["at"] is None:
         violations.append(f"only {status['completed']}/{expected} ops "
                           f"completed before the deadline")
-    elif not check_linearizable(history, KvSequentialSpec(dict(initial))):
+    elif not check_linearizable(
+            history, KvSequentialSpec({key: 0 for key in ELASTIC_KEYS})):
         violations.append("history is not linearizable")
     violations.extend(cluster_invariants(cluster))
 
@@ -256,7 +221,7 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
         recovery_installed=recovery_installed,
         violations=tuple(violations),
         metrics={name: metrics[name] for name in sorted(wanted)},
-        timeline=_timeline(completions, end))
+        timeline=_timeline(status["completions"], end))
 
 
 def run_scaleout_timeline(seed: int = 7, elastic: bool = True,
@@ -269,17 +234,12 @@ def run_scaleout_timeline(seed: int = 7, elastic: bool = True,
     ``elastic=True`` a third partition joins at ``join_at``. Returns the
     bucketed completion timeline plus before/during/after throughput.
     """
-    _reset_id_counters()
+    reset_id_counters()
     keys = tuple(f"k{i:02d}" for i in range(48))
-    assignment = {key: i % 2 for i, key in enumerate(keys)}
-    cluster_seed = SeedStream(seed).child("fig16") \
-        .stream("elastic" if elastic else "static").randrange(2**31)
-    cluster = Cluster(ClusterConfig(
-        scheme="dssmr", num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        execution=ExecutionModel(base_ms=0.4, per_variable_ms=0.02),
-        initial_assignment=assignment))
-    cluster.preload({key: 0 for key in keys})
+    cluster = build_kv_cluster(
+        "dssmr", cluster_seed(seed, "fig16",
+                              "elastic" if elastic else "static"),
+        keys, execution=ExecutionModel(base_ms=0.4, per_variable_ms=0.02))
     env = cluster.env
 
     completions: list[float] = []
@@ -288,7 +248,7 @@ def run_scaleout_timeline(seed: int = 7, elastic: bool = True,
     def loop(client, index):
         rng = random.Random(f"fig16/{seed}/{index}")
         while env.now < duration_ms:
-            command = _random_access(rng, keys)
+            command = kv_command(rng, keys, ELASTIC_MIX)
             yield from client.run_command(command)
             completions.append(env.now)
 

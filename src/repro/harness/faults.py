@@ -1,9 +1,9 @@
 """Shared fault-victim helpers: who can crash, and how they come back.
 
-Both fault harnesses — the chaos campaign (:mod:`repro.harness.chaos`)
-and the schedule fuzzer (:mod:`repro.fuzz`) — need the same two closure
-pairs for :meth:`~repro.net.failure.FailureInjector.crash_restart_at`,
-previously duplicated per harness:
+The schedule runner (:mod:`repro.fuzz.runner`, behind the fuzz, chaos
+and heal campaigns) and the self-healing figure need the same two
+closure pairs for
+:meth:`~repro.net.failure.FailureInjector.crash_restart_at`:
 
 * **restart** (amnesia) — the victim object dies and a replacement is
   rebuilt under the same name: classic SMR replicas through
@@ -15,7 +15,7 @@ previously duplicated per harness:
   traffic both ways) and later reconnects with its in-memory state
   intact (:meth:`~repro.ordering.ProtocolNode.reconnect`). Valid for
   *any* node — sequencers, Paxos leaders and oracle replicas included —
-  which is exactly the fault class the chaos campaign used to exempt.
+  the fault class the chaos campaign once exempted.
 
 Victim *roles* name the interesting positions in a deployment
 independently of scheme and shape, so seeded generators can draw a role

@@ -630,6 +630,37 @@ def figure14_batching(entry_count: int = 400, submitters: int = 8,
     return FigureData("fig14", "Sequencer batching ablation", report, data)
 
 
+def _overhead_point(scheme: str, drop_fraction: float, seed: int,
+                    num_clients: int, ops_per_client: int) -> dict:
+    """Throughput/latency of the resilience layer at one drop rate."""
+    from repro.harness.faults import reset_id_counters
+    from repro.harness.kvworkload import (build_kv_cluster, cluster_seed,
+                                          run_wave)
+    from repro.net import FailureInjector
+
+    reset_id_counters()
+    cluster = build_kv_cluster(
+        scheme, cluster_seed(seed, scheme, f"overhead{drop_fraction}"))
+    if drop_fraction:
+        injector = FailureInjector(cluster.env, cluster.network,
+                                   cluster.seeds.child("overhead"))
+        injector.drop_fraction(drop_fraction)
+    status, _ = run_wave(cluster, num_clients, ops_per_client,
+                         f"{seed}/{scheme}/overhead/{drop_fraction}")
+    cluster.env.run(until=32_000.0)   # a stuck wave ends here
+    elapsed = status["done_at"] or cluster.env.now
+    total = num_clients * ops_per_client
+    return {
+        "completed": status["completed"],
+        "total": total,
+        "throughput": total / (elapsed / 1000.0) if elapsed else 0.0,
+        "mean_ms": cluster.latency.mean(),
+        "p95_ms": cluster.latency.percentile(95),
+        "timeouts": sum(c.timeouts for c in cluster.clients),
+        "resends": sum(c.resends for c in cluster.clients),
+    }
+
+
 def figure15_chaos_overhead(seed: int = 5,
                             drop_rates=(0.0, 0.01, 0.02, 0.05),
                             schemes=("smr", "ssmr"),
@@ -645,15 +676,12 @@ def figure15_chaos_overhead(seed: int = 5,
     Higher rates show the recovery cost — timeouts, resent requests, and
     the latency tail they produce.
     """
-    from repro.harness.chaos import run_overhead_point
-
     rows = []
     data: dict = {}
     for scheme in schemes:
         for rate in drop_rates:
-            outcome = run_overhead_point(scheme, rate, seed,
-                                         num_clients=num_clients,
-                                         ops_per_client=ops_per_client)
+            outcome = _overhead_point(scheme, rate, seed, num_clients,
+                                      ops_per_client)
             data[(scheme, rate)] = outcome
             rows.append([scheme, f"{rate:.2f}",
                          f"{outcome['completed']}/{outcome['total']}",
@@ -744,15 +772,15 @@ def _self_healing_run(seed: int, supervisor: bool,
     """
     import random as random_module
 
-    from repro.harness.chaos import KEYS, _build_cluster
     from repro.harness.faults import (make_crash_restart, reset_id_counters,
                                       select_victim)
+    from repro.harness.kvworkload import KEYS, build_kv_cluster, cluster_seed
     from repro.heal import ClusterHealer
     from repro.smr import Command
 
     reset_id_counters()
     tag = "fig17-heal" if supervisor else "fig17-base"
-    cluster = _build_cluster("dssmr", seed, tag)
+    cluster = build_kv_cluster("dssmr", cluster_seed(seed, "dssmr", tag))
     env = cluster.env
     healer = ClusterHealer(cluster) if supervisor else None
 

@@ -28,6 +28,7 @@ from repro.harness.faults import reset_id_counters
 from repro.qos import QosConfig
 from repro.resilience import RequestTimeout, RetryPolicy
 from repro.sim import SeedStream
+from repro.sim.monitor import nearest_rank
 from repro.smr import Command, ExecutionModel
 
 #: Keys preloaded into every cluster, spread over both partitions.
@@ -152,10 +153,10 @@ def run_overload_point(multiplier: float, qos_on: bool, seed: int = 0,
         "gave_up": stats["gave_up"],
         "goodput_per_s": _round(stats["good"] / seconds),
         "throughput_per_s": _round(stats["completed"] / seconds),
-        "p50_ms": _round(_percentile(latencies, 50)),
-        "p99_ms": _round(_percentile(latencies, 99)),
+        "p50_ms": _round(nearest_rank(latencies, 50)),
+        "p99_ms": _round(nearest_rank(latencies, 99)),
         "accepted": len(accepted),
-        "accepted_p99_ms": _round(_percentile(accepted, 99)),
+        "accepted_p99_ms": _round(nearest_rank(accepted, 99)),
         "timeouts": sum(c.timeouts for c in cluster.clients),
         "resends": sum(c.resends for c in cluster.clients),
         "overload_replies": sum(c.overload_replies
@@ -169,14 +170,6 @@ def run_overload_point(multiplier: float, qos_on: bool, seed: int = 0,
             c.retry_budget.denied for c in cluster.clients
             if c.retry_budget is not None),
     }
-
-
-def _percentile(samples: list, p: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, math.ceil(p / 100 * len(ordered)) - 1)
-    return ordered[rank]
 
 
 def run_overload_campaign(seed: int = 0, smoke: bool = False,

@@ -34,13 +34,11 @@ import json
 import random
 from typing import Optional
 
-from repro.harness.chaos import INITIAL, KEYS, _random_access, \
-    _reset_id_counters
 from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.faults import reset_id_counters
+from repro.harness.kvworkload import build_kv_cluster, cluster_seed, kv_command
 from repro.harness.report import format_table
 from repro.reconfig.checkpoint import state_checksum
-from repro.resilience import RetryPolicy
-from repro.sim import SeedStream
 from repro.smr import Command, ExecutionConfig, ExecutionModel, ReplyStatus
 
 RESULT_FORMAT = "repro-parallelexec/1"
@@ -67,19 +65,6 @@ EQUIVALENCE_SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
 
 # -- equivalence ------------------------------------------------------------
 
-def _equivalence_cluster(scheme: str, seed: int,
-                         parallel: Optional[ExecutionConfig]) -> Cluster:
-    assignment = None
-    if scheme != "smr":
-        assignment = {key: i % 2 for i, key in enumerate(KEYS)}
-    cluster_seed = SeedStream(seed).child(scheme).stream("parallelexec") \
-        .randrange(2 ** 31)
-    return Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        initial_assignment=assignment, parallel=parallel))
-
-
 def run_equivalence_case(scheme: str, seed: int,
                          parallel: Optional[ExecutionConfig],
                          num_clients: int = 4,
@@ -92,9 +77,10 @@ def run_equivalence_case(scheme: str, seed: int,
     Reply *times* are deliberately excluded — finishing earlier is the
     entire point of the engine.
     """
-    _reset_id_counters()
-    cluster = _equivalence_cluster(scheme, seed, parallel)
-    cluster.preload(dict(INITIAL))
+    reset_id_counters()
+    cluster = build_kv_cluster(
+        scheme, cluster_seed(seed, scheme, "parallelexec"),
+        parallel=parallel)
     env = cluster.env
     observed: list = []
     status = {"completed": 0, "finished": 0}
@@ -108,7 +94,7 @@ def run_equivalence_case(scheme: str, seed: int,
             slot = start + op * SLOT_MS
             if env.now < slot:
                 yield env.timeout(slot - env.now)
-            command = _random_access(rng)
+            command = kv_command(rng)
             reply = yield from client.run_command(command)
             observed.append((client.name, op, command.op,
                              reply.status.value, repr(reply.value)))
@@ -185,13 +171,13 @@ def run_throughput(workers: int, conflict: float, seed: int = 1,
     ``workers=0`` runs the sequential executor (``parallel=None``) — the
     baseline row of the sweep.
     """
-    _reset_id_counters()
+    reset_id_counters()
     parallel = ExecutionConfig(workers=workers) if workers else None
-    cluster_seed = SeedStream(seed).child("parallelexec") \
-        .stream(f"sweep/{workers}/{conflict}").randrange(2 ** 31)
     cluster = Cluster(ClusterConfig(
         scheme="dssmr", num_partitions=1, replicas_per_partition=2,
-        seed=cluster_seed, execution=SWEEP_EXECUTION, parallel=parallel))
+        seed=cluster_seed(seed, "parallelexec",
+                          f"sweep/{workers}/{conflict}"),
+        execution=SWEEP_EXECUTION, parallel=parallel))
     initial = {HOT_KEY: 0}
     initial.update({f"c{i}": 0 for i in range(num_clients)})
     cluster.preload(initial)

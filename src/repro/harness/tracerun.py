@@ -1,6 +1,6 @@
 """Seeded traced workload runs: the driver behind ``python -m repro trace``.
 
-Runs a fault-free workload (same command mix as the chaos campaign)
+Runs a fault-free key-value wave (:mod:`repro.harness.kvworkload`)
 against one scheme with a :class:`~repro.obs.tracing.CommandTracer`
 attached, and returns the cluster plus the collected spans. Everything
 derives from ``(scheme, seed, clients, ops)``, so two identical
@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.harness.chaos import INITIAL, KEYS, _reset_id_counters, \
-    _spawn_workload
-from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.cluster import Cluster
+from repro.harness.faults import reset_id_counters
+from repro.harness.kvworkload import build_kv_cluster, cluster_seed, run_wave
 from repro.obs import CommandTracer
-from repro.resilience import RetryPolicy
-from repro.sim import SeedStream
 from repro.smr import ExecutionModel
 
 #: Virtual-time bound of one traced run (ms); fault-free runs finish far
@@ -67,37 +65,20 @@ def run_traced_workload(scheme: str, seed: int = 7, num_clients: int = 3,
     :class:`~repro.smr.ExecutionConfig`) arms conflict-aware parallel
     execution; the default ``None`` runs the sequential executors.
     """
-    _reset_id_counters()
+    reset_id_counters()
     tracer = CommandTracer() if trace else None
-    assignment = None
-    if scheme != "smr":
-        assignment = {key: i % num_partitions
-                      for i, key in enumerate(KEYS)}
-    cluster_seed = SeedStream(seed).child(scheme).stream("trace") \
-        .randrange(2 ** 31)
     base = ExecutionModel()
     execution = ExecutionModel(base_ms=base.base_ms * slowdown,
                                per_variable_ms=base.per_variable_ms * slowdown)
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=num_partitions,
-        replicas_per_partition=2, seed=cluster_seed,
-        retry_policy=RetryPolicy(), initial_assignment=assignment,
-        execution=execution, durability=durability, parallel=parallel),
-        tracer=tracer, profiler=profiler)
-    cluster.preload(dict(INITIAL))
-    status, done = _spawn_workload(
-        cluster, None, num_clients, ops_per_client,
-        workload_tag=f"{seed}/{scheme}/trace")
-    end_marker = {"at": None}
-
-    def driver():
-        yield done
-        end_marker["at"] = cluster.env.now
-
-    cluster.env.process(driver(), name="trace/driver")
+    cluster = build_kv_cluster(
+        scheme, cluster_seed(seed, scheme, "trace"),
+        num_partitions=num_partitions, tracer=tracer, profiler=profiler,
+        execution=execution, durability=durability, parallel=parallel)
+    status, done = run_wave(cluster, num_clients, ops_per_client,
+                            f"{seed}/{scheme}/trace")
     cluster.env.run(until=DEADLINE_MS)
     return TraceRun(
         scheme=scheme, seed=seed, completed=status["completed"],
         expected=num_clients * ops_per_client,
-        finished_at=end_marker["at"], tracer=tracer, cluster=cluster,
+        finished_at=status["done_at"], tracer=tracer, cluster=cluster,
         profiler=profiler)

@@ -28,7 +28,7 @@ __all__ = [
     "PHI_MAX", "PhiAccrualDetector", "HEARTBEAT_KIND", "HeartbeatEmitter",
     "DEFAULT_TIMING", "FAST_TIMING", "TimingProfile",
     "HEAL_GROUP", "RecoverySupervisor", "ClusterHealer",
-    "run_heal_campaign", "HealCampaignResult",
+    "run_heal_campaign",
 ]
 
 _LAZY = {
@@ -36,7 +36,6 @@ _LAZY = {
     "RecoverySupervisor": ("repro.heal.supervisor", "RecoverySupervisor"),
     "ClusterHealer": ("repro.heal.healer", "ClusterHealer"),
     "run_heal_campaign": ("repro.heal.campaign", "run_heal_campaign"),
-    "HealCampaignResult": ("repro.heal.campaign", "HealCampaignResult"),
 }
 
 

@@ -9,20 +9,22 @@ crashes and walks away. Convergence (every client op completed, all
 invariants intact) is then evidence that the accrual detector +
 recovery supervisor loop did the healing autonomously.
 
-The whole campaign is a pure function of ``(seed, n, schemes)`` and its
-canonical JSON (:meth:`HealCampaignResult.to_dict`) is byte-identical
-across runs — the CI smoke runs ``python -m repro heal --smoke`` twice
-and ``cmp``s the outputs.
+It is a preset of the schedule campaign (:mod:`repro.fuzz.campaign`);
+only the MTTR totals section (:func:`heal_totals`) is its own. The whole
+campaign is a pure function of ``(seed, n, schemes)`` and its canonical
+JSON is byte-identical across runs — the CI smoke runs
+``python -m repro heal --smoke`` twice and compares the outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
+from repro.fuzz.campaign import (FAULTS_OPS_DONE, FuzzCampaignResult,
+                                 Preset, run_campaign)
 from repro.fuzz.generate import DEADLINE_MS, HORIZON_MS, shape_nodes
+from repro.fuzz.runner import ScheduleRunResult
 from repro.fuzz.schedule import FaultSchedule, normalize_schedule
-from repro.harness.report import format_table
 from repro.sim import SeedStream
 
 #: Schemes the heal campaign exercises (both partitioned deployments;
@@ -75,121 +77,68 @@ def generate_heal_schedule(seed: int, index: int, scheme: str,
         supervisor=True))
 
 
-@dataclass
-class HealCampaignResult:
-    """All runs of one self-healing campaign, plus the MTTR rollup."""
+def heal_totals(runs: Sequence[ScheduleRunResult]) -> dict:
+    """Campaign-wide MTTR accounting summed over every run."""
+    keys = ("detections", "false_suspicions", "fences", "replaces",
+            "reconnects", "suppressed", "deferred", "spare_joins")
+    totals = {key: 0 for key in keys}
+    mttr: list[float] = []
+    for run in runs:
+        heal = run.heal or {}
+        for key in keys:
+            totals[key] += heal.get(key, 0)
+        for episode in heal.get("episodes", ()):
+            if episode.get("closed_at") is not None \
+                    and not episode.get("false_positive"):
+                mttr.append(episode["closed_at"]
+                            - episode["opened_at"]
+                            + episode["silent_ms"])
+    totals["mttr_samples"] = len(mttr)
+    totals["mttr_mean_ms"] = (round(sum(mttr) / len(mttr), 3)
+                              if mttr else None)
+    totals["mttr_max_ms"] = round(max(mttr), 3) if mttr else None
+    return totals
 
-    seed: int
-    runs: tuple    # of repro.fuzz.runner.ScheduleRunResult
 
-    @property
-    def violations(self) -> list[tuple]:
-        return [(run, violation) for run in self.runs
-                for violation in run.violations]
+def _totals_report(totals: dict) -> list[str]:
+    lines = [f"totals: {totals['detections']} detection(s), "
+             f"{totals['replaces']} replace(s), "
+             f"{totals['reconnects']} reconnect(s), "
+             f"{totals['fences']} fence(s), "
+             f"{totals['false_suspicions']} false suspicion(s), "
+             f"{totals['suppressed']} suppressed"]
+    if totals["mttr_mean_ms"] is not None:
+        lines.append(f"MTTR: mean {totals['mttr_mean_ms']:.1f} ms, "
+                     f"max {totals['mttr_max_ms']:.1f} ms over "
+                     f"{totals['mttr_samples']} episode(s)")
+    return lines
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
-    def totals(self) -> dict:
-        """Campaign-wide MTTR accounting summed over every run."""
-        keys = ("detections", "false_suspicions", "fences", "replaces",
-                "reconnects", "suppressed", "deferred", "spare_joins")
-        totals = {key: 0 for key in keys}
-        mttr: list[float] = []
-        for run in self.runs:
-            heal = run.heal or {}
-            for key in keys:
-                totals[key] += heal.get(key, 0)
-            for episode in heal.get("episodes", ()):
-                if episode.get("closed_at") is not None \
-                        and not episode.get("false_positive"):
-                    mttr.append(episode["closed_at"]
-                                - episode["opened_at"]
-                                + episode["silent_ms"])
-        totals["mttr_samples"] = len(mttr)
-        totals["mttr_mean_ms"] = (round(sum(mttr) / len(mttr), 3)
-                                  if mttr else None)
-        totals["mttr_max_ms"] = round(max(mttr), 3) if mttr else None
-        return totals
+def _heal_cell(key: str):
+    return lambda entry: (entry["run"]["heal"] or {}).get(key, 0)
 
-    def to_dict(self) -> dict:
-        """Canonical campaign summary (the CI smoke byte-compares this)."""
-        return {
-            "seed": self.seed,
-            "scenarios": [
-                {
-                    "index": run.schedule.index,
-                    "scheme": run.schedule.scheme,
-                    "digest": run.schedule.digest(),
-                    "faults": run.schedule.describe(),
-                    "run": run.to_dict(),
-                }
-                for run in self.runs
-            ],
-            "totals": self.totals(),
-            "violations": len(self.violations),
-        }
 
-    def report(self) -> str:
-        rows = []
-        for run in self.runs:
-            heal = run.heal or {}
-            rows.append([
-                run.schedule.index, run.schedule.scheme,
-                run.schedule.describe(),
-                f"{run.ops_completed}/{run.ops_expected}",
-                (f"{run.finished_at:.0f}"
-                 if run.finished_at is not None else "stuck"),
-                heal.get("detections", 0),
-                heal.get("replaces", 0),
-                heal.get("reconnects", 0),
-                heal.get("false_suspicions", 0),
-                "ok" if run.ok else "FAIL",
-            ])
-        table = format_table(
-            ["#", "scheme", "faults", "ops", "done-ms", "det",
-             "repl", "reconn", "false+", "verdict"], rows)
-        totals = self.totals()
-        lines = [f"self-healing campaign: seed={self.seed}, "
-                 f"{len(self.runs)} run(s), no harness recovery",
-                 "", table, "",
-                 f"totals: {totals['detections']} detection(s), "
-                 f"{totals['replaces']} replace(s), "
-                 f"{totals['reconnects']} reconnect(s), "
-                 f"{totals['fences']} fence(s), "
-                 f"{totals['false_suspicions']} false suspicion(s), "
-                 f"{totals['suppressed']} suppressed"]
-        if totals["mttr_mean_ms"] is not None:
-            lines.append(f"MTTR: mean {totals['mttr_mean_ms']:.1f} ms, "
-                         f"max {totals['mttr_max_ms']:.1f} ms over "
-                         f"{totals['mttr_samples']} episode(s)")
-        if self.ok:
-            lines.append(f"no invariant violations in {len(self.runs)} "
-                         f"runs")
-        else:
-            lines.append(f"{len(self.violations)} violation(s):")
-            for run, violation in self.violations:
-                lines.append(f"  - [#{run.schedule.index} "
-                             f"{run.schedule.scheme}] {violation}")
-        return "\n".join(lines)
+#: The self-healing campaign's preset: healer columns plus MTTR totals.
+HEAL = Preset(
+    title=lambda data: (f"self-healing campaign: seed={data['seed']}, "
+                        f"{len(data['scenarios'])} run(s), "
+                        f"no harness recovery"),
+    columns=(*FAULTS_OPS_DONE,
+             ("det", _heal_cell("detections")),
+             ("repl", _heal_cell("replaces")),
+             ("reconn", _heal_cell("reconnects")),
+             ("false+", _heal_cell("false_suspicions"))),
+    entries="scenarios", shrinks=False,
+    totals=heal_totals, totals_report=_totals_report)
 
 
 def run_heal_campaign(num_scenarios: int = 4, seed: int = 0,
                       schemes: Sequence[str] = HEAL_SCHEMES,
                       num_clients: int = 3, ops_per_client: int = 8
-                      ) -> HealCampaignResult:
+                      ) -> FuzzCampaignResult:
     """Run ``num_scenarios`` all-roles-crash scenarios per scheme."""
-    # Late import: the runner imports the cluster harness whose package
-    # init pulls in chaos — at-import resolution would cycle through
-    # repro.heal (paxos imports heal.timing).
-    from repro.fuzz.runner import run_schedule
-
-    runs = []
-    for index in range(num_scenarios):
-        for scheme in schemes:
-            schedule = generate_heal_schedule(
-                seed, index, scheme, num_clients=num_clients,
-                ops_per_client=ops_per_client)
-            runs.append(run_schedule(schedule))
-    return HealCampaignResult(seed=seed, runs=tuple(runs))
+    schedules = (generate_heal_schedule(seed, index, scheme,
+                                        num_clients=num_clients,
+                                        ops_per_client=ops_per_client)
+                 for index in range(num_scenarios) for scheme in schemes)
+    return run_campaign(schedules, seed, preset=HEAL)

@@ -98,18 +98,11 @@ class NetworkTracer:
     def by_kind(self, kind: str) -> list[TraceRecord]:
         return self.filter(lambda r: r.kind == kind)
 
-    def involving(self, node: str) -> list[TraceRecord]:
-        return self.filter(lambda r: node in (r.src, r.dst))
-
     def between(self, start: float, end: float) -> list[TraceRecord]:
         return self.filter(lambda r: start <= r.time < end)
 
     def dropped(self) -> list[TraceRecord]:
         return self.filter(lambda r: r.event == DROPPED)
-
-    def message_journey(self, msg_id: int) -> list[TraceRecord]:
-        """All events of one message (sent, then delivered or dropped)."""
-        return self.filter(lambda r: r.msg_id == msg_id)
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:

@@ -151,22 +151,8 @@ class CommandTracer(NullTracer):
     def __len__(self) -> int:
         return len(self.spans)
 
-    def traces(self) -> list[str]:
-        """Trace ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for span in self.spans:
-            seen.setdefault(span.trace, None)
-        return list(seen)
-
-    def spans_for(self, trace: str) -> list[Span]:
-        return [s for s in self.spans if s.trace == trace]
-
     def roots(self) -> list[Span]:
         return [s for s in self.spans if s.parent is None]
-
-    def stage_spans(self, trace: Optional[str] = None) -> list[Span]:
-        return [s for s in self.spans if s.stage
-                and (trace is None or s.trace == trace)]
 
 
 def spans_by_trace(spans: Iterable[Span]) -> dict[str, list[Span]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 
 class TimeSeries:
@@ -77,10 +77,16 @@ class Counter:
         self.total += amount
         self.events.record(time, amount)
 
-    def rate_series(self, bucket: float,
-                    end: Optional[float] = None) -> TimeSeries:
-        """Per-bucket rate of increments."""
-        return self.events.bucketed_rate(bucket, end)
+
+def nearest_rank(samples: list, p: float) -> float:
+    """p-th percentile (0..100) of ``samples``, nearest-rank; NaN when
+    empty."""
+    if not samples:
+        return math.nan
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile out of range: {p}")
+    ordered = sorted(samples)
+    return ordered[max(0, math.ceil(p / 100 * len(ordered)) - 1)]
 
 
 class LatencyRecorder:
@@ -111,14 +117,7 @@ class LatencyRecorder:
         return sum(self.samples) / len(self.samples)
 
     def percentile(self, p: float) -> float:
-        """p-th percentile (0..100), nearest-rank; NaN when empty."""
-        if not self.samples:
-            return math.nan
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile out of range: {p}")
-        ordered = sorted(self.samples)
-        rank = max(0, math.ceil(p / 100 * len(ordered)) - 1)
-        return ordered[rank]
+        return nearest_rank(self.samples, p)
 
     def windowed_mean(self, bucket: float,
                       end: Optional[float] = None) -> TimeSeries:
@@ -196,31 +195,3 @@ class BusyTracker:
             out.record(edge, self.busy_fraction(edge - bucket, edge))
             edge += bucket
         return out
-
-
-def merge_series(series: Iterable[TimeSeries]) -> TimeSeries:
-    """Merge several time series by summing values at identical times.
-
-    All inputs must share the same time grid (as produced by
-    :meth:`TimeSeries.bucketed_rate` with the same bucket width).
-    """
-    series = list(series)
-    if not series:
-        return TimeSeries("merged")
-    grid = series[0].times
-    for other in series[1:]:
-        if other.times != grid:
-            raise ValueError("cannot merge series on different time grids")
-    out = TimeSeries("merged")
-    for i, t in enumerate(grid):
-        out.record(t, sum(s.values[i] for s in series))
-    return out
-
-
-def area_under(series: Sequence[tuple[float, float]]) -> float:
-    """Trapezoidal integral of a ``(time, value)`` sequence."""
-    points = list(series)
-    total = 0.0
-    for (t0, v0), (t1, v1) in zip(points, points[1:]):
-        total += (t1 - t0) * (v0 + v1) / 2
-    return total

@@ -168,17 +168,29 @@ class TestBoundedChecker:
             history, KvSequentialSpec({"x": 0}), max_nodes=50)
         assert verdict == VIOLATION
 
+    def test_long_sequential_history_does_not_overflow_the_stack(self):
+        # 1,200 back-to-back increments nest 1,200 levels deep — past
+        # Python's recursion limit — under the default budget.
+        history = history_of(*[
+            ("a", "incr", {"key": "n"}, i + 1, 2 * i, 2 * i + 1)
+            for i in range(1_200)])
+        verdict = check_linearizable_bounded(
+            history, KvSequentialSpec({"n": 0}))
+        assert verdict == LINEARIZABLE
+
+    def test_long_history_ending_in_a_stale_read_is_a_violation(self):
+        # 1,999 increments then a read of an old value: the search must
+        # walk 2,000 levels down and back up to refute every order.
+        ops = [("a", "incr", {"key": "n"}, i + 1, 2 * i, 2 * i + 1)
+               for i in range(1_999)]
+        ops.append(("a", "get", {"key": "n"}, 7, 4_000, 4_001))
+        verdict = check_linearizable_bounded(
+            history_of(*ops), KvSequentialSpec({"n": 0}))
+        assert verdict == VIOLATION
+
 
 class TestHistory:
     def test_response_before_invoke_rejected(self):
         history = History()
         with pytest.raises(ValueError):
             history.record("a", "get", {}, 1, invoked_at=5, responded_at=4)
-
-    def test_concurrent_pairs(self):
-        history = history_of(
-            ("a", "get", {"key": "x"}, 0, 0, 10),
-            ("b", "get", {"key": "x"}, 0, 5, 15),   # overlaps first
-            ("c", "get", {"key": "x"}, 0, 20, 30),  # after both
-        )
-        assert history.concurrent_pairs() == 1

@@ -1,11 +1,19 @@
 """Tests for the parallelexec campaign driver (smoke-sized)."""
 
+import pytest
+
 from repro.harness.parallelexec import (format_report, run_campaign,
                                         run_throughput, to_json)
 
 
-def test_smoke_campaign_gates_and_is_deterministic():
-    first = run_campaign(smoke=True)
+@pytest.fixture(scope="module")
+def smoke():
+    """One smoke campaign shared by the module's tests."""
+    return run_campaign(smoke=True)
+
+
+def test_smoke_campaign_gates_and_is_deterministic(smoke):
+    first = smoke
     assert first["format"] == "repro-parallelexec/1"
     assert first["gate"]["passed"], first["gate"]
     assert first["equivalence"]["all_equal"]
@@ -15,9 +23,8 @@ def test_smoke_campaign_gates_and_is_deterministic():
     assert to_json(first) == to_json(second)
 
 
-def test_smoke_report_renders():
-    data = run_campaign(smoke=True)
-    report = format_report(data)
+def test_smoke_report_renders(smoke):
+    report = format_report(smoke)
     assert "parallel execution campaign" in report
     assert "PASS" in report
     assert "MISMATCH" not in report

@@ -20,6 +20,17 @@ def suite():
     return run_perf_suite()
 
 
+@pytest.fixture(scope="module")
+def again():
+    """A second same-seed run, shared by the tests that compare runs."""
+    return run_perf_suite()
+
+
+@pytest.fixture(scope="module")
+def slow():
+    return run_perf_suite(slowdown=1.2)
+
+
 class TestSuite:
     def test_covers_every_scheme_and_completes(self, suite):
         assert suite["format"] == BASELINE_FORMAT
@@ -31,8 +42,8 @@ class TestSuite:
             assert metrics["latency_p50_ms"] <= metrics["latency_p95_ms"] \
                 <= metrics["latency_p99_ms"]
 
-    def test_byte_identical_across_runs(self, suite):
-        assert canonical_json(run_perf_suite()) == canonical_json(suite)
+    def test_byte_identical_across_runs(self, suite, again):
+        assert canonical_json(again) == canonical_json(suite)
 
     def test_canonical_json_is_compact_and_sorted(self, suite):
         payload = canonical_json(suite)
@@ -44,13 +55,11 @@ class TestGate:
     def test_passes_against_itself(self, suite):
         assert compare_to_baseline(suite, suite) == []
 
-    def test_fails_on_20_percent_slowdown(self, suite):
-        slow = run_perf_suite(slowdown=1.2)
+    def test_fails_on_20_percent_slowdown(self, suite, slow):
         failures = compare_to_baseline(slow, suite, tolerance=0.05)
         assert failures, "20% synthetic slowdown must trip the gate"
 
-    def test_tolerance_is_honoured(self, suite):
-        slow = run_perf_suite(slowdown=1.2)
+    def test_tolerance_is_honoured(self, suite, slow):
         # A huge tolerance waves the same drift through.
         assert compare_to_baseline(slow, suite, tolerance=5.0) == []
 
@@ -81,11 +90,11 @@ class TestDurabilitySection:
         # Arming the WAL costs latency; it must stay under the bound.
         assert 0.0 < section["overhead_ms"] <= section["bound_ms"]
 
-    def test_wal_off_sections_are_untouched_by_durability_run(self, suite):
+    def test_wal_off_sections_are_untouched_by_durability_run(self, suite,
+                                                               again):
         """The scheme sections come from the exact pre-durability
         deployment: re-running without the durability section changes
         nothing (the zero-drift-when-disabled guarantee)."""
-        again = run_perf_suite()
         assert canonical_json(again["schemes"]) == \
             canonical_json(suite["schemes"])
 
@@ -128,13 +137,13 @@ class TestCli:
         assert main(["perfcheck", "--slowdown", "1.2"]) == 1
         assert "PERF GATE FAILED" in capsys.readouterr().out
 
-    def test_perfcheck_smoke_is_byte_identical(self, capsys):
+    def test_perfcheck_smoke_is_byte_identical(self, capsys, suite):
         from repro.cli import main
 
         assert main(["perfcheck", "--smoke"]) == 0
         first = capsys.readouterr().out
-        assert main(["perfcheck", "--smoke"]) == 0
-        assert capsys.readouterr().out == first
+        # The CLI run is a second same-seed run of the shared suite.
+        assert first == canonical_json(suite) + "\n"
 
     def test_profile_smoke_is_byte_identical(self, capsys):
         from repro.cli import main

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import ORACLE_GROUP
 from repro.harness import build_cluster, cluster_invariants
-from repro.harness.chaos import _reset_id_counters
+from repro.harness.faults import reset_id_counters
 from repro.harness.experiment import ChirperDeployment
 from repro.harness.cluster import ClusterConfig
 from repro.harness.faults import recover_victim
@@ -31,7 +31,7 @@ BARE = {}
 
 
 def make_cluster(scheme, features):
-    _reset_id_counters()
+    reset_id_counters()
     assignment = (None if scheme == "smr"
                   else {key: i % 2 for i, key in enumerate(KEYS)})
     cluster = build_cluster(
@@ -218,7 +218,7 @@ class TestChirperInvariants:
 
     @pytest.mark.parametrize("scheme", ["smr", "dssmr"])
     def test_invariants_hold_on_chirper_stores(self, scheme):
-        _reset_id_counters()
+        reset_id_counters()
         graph, _planted = clustered_graph(n=24, k=2, intra_degree=3,
                                           edge_cut_fraction=0.1, seed=1)
         config = ClusterConfig(scheme=scheme, num_partitions=2, seed=3,
@@ -234,7 +234,7 @@ class TestChirperInvariants:
         assert cluster_invariants(cluster) == []
 
     def test_divergent_chirper_replicas_are_reported(self):
-        _reset_id_counters()
+        reset_id_counters()
         graph, _planted = clustered_graph(n=24, k=2, intra_degree=3,
                                           edge_cut_fraction=0.1, seed=1)
         deployment = ChirperDeployment(graph, ClusterConfig(

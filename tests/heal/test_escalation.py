@@ -7,7 +7,7 @@ silent half-recovered limbo.
 """
 
 from repro.harness import build_cluster
-from repro.harness.chaos import _reset_id_counters
+from repro.harness.faults import reset_id_counters
 from repro.heal import FAST_TIMING, ClusterHealer
 
 
@@ -22,7 +22,7 @@ class FakeRecovery:
 
 
 def build_healed_cluster(spare_partition=None, seed=3):
-    _reset_id_counters()
+    reset_id_counters()
     cluster = build_cluster(scheme="dssmr", num_partitions=2,
                             replicas_per_partition=2, seed=seed,
                             initial_assignment={f"k{i}": i % 2

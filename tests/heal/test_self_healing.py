@@ -15,8 +15,8 @@ import pytest
 
 from repro.fuzz.runner import run_schedule
 from repro.fuzz.schedule import FaultSchedule
-from repro.harness.chaos import _build_cluster
 from repro.harness.faults import reset_id_counters
+from repro.harness.kvworkload import build_kv_cluster, cluster_seed
 from repro.heal import FAST_TIMING, ClusterHealer
 from repro.heal.campaign import generate_heal_schedule, run_heal_campaign
 
@@ -56,7 +56,7 @@ class TestAutonomousRecovery:
     def test_campaign_converges_clean(self):
         campaign = run_heal_campaign(num_scenarios=2, seed=0)
         assert campaign.ok
-        totals = campaign.totals()
+        totals = campaign.to_dict()["totals"]
         assert totals["detections"] == 10   # (2+3) roles x 2 scenarios
         assert totals["false_suspicions"] == 0
         assert totals["mttr_samples"] == 10
@@ -139,7 +139,8 @@ class TestSpareEscalation:
         # holder gives up on the victim and joins the spare partition
         # instead, restoring capacity.
         reset_id_counters()
-        cluster = _build_cluster("dssmr", seed=9, tag="heal-spare")
+        cluster = build_kv_cluster(
+            "dssmr", cluster_seed(9, "dssmr", "heal-spare"))
         healer = ClusterHealer(cluster, timing=FAST_TIMING,
                                spare_partition="p2")
         env = cluster.env
@@ -159,7 +160,8 @@ class TestSpareEscalation:
 
     def test_no_spare_configured_keeps_retrying_reconnect(self):
         reset_id_counters()
-        cluster = _build_cluster("dssmr", seed=9, tag="heal-nospare")
+        cluster = build_kv_cluster(
+            "dssmr", cluster_seed(9, "dssmr", "heal-nospare"))
         healer = ClusterHealer(cluster, timing=FAST_TIMING)
         env = cluster.env
         env.run(until=100.0)

@@ -9,15 +9,16 @@ rejected by every member at apply time.
 
 import pytest
 
-from repro.harness.chaos import _build_cluster
 from repro.harness.faults import reset_id_counters
+from repro.harness.kvworkload import build_kv_cluster, cluster_seed
 from repro.heal import FAST_TIMING, ClusterHealer
 
 
 @pytest.fixture
 def cluster():
     reset_id_counters()
-    return _build_cluster("dssmr", seed=11, tag="heal-supervisor")
+    return build_kv_cluster(
+        "dssmr", cluster_seed(11, "dssmr", "heal-supervisor"))
 
 
 @pytest.fixture
@@ -40,7 +41,8 @@ class TestLease:
         holders = []
         for _ in range(2):
             reset_id_counters()
-            c = _build_cluster("dssmr", seed=11, tag="heal-supervisor")
+            c = build_kv_cluster(
+                "dssmr", cluster_seed(11, "dssmr", "heal-supervisor"))
             h = ClusterHealer(c, timing=FAST_TIMING)
             c.env.run(until=200.0)
             holders.append([s.holder for s in h.supervisors])

@@ -55,9 +55,9 @@ class TestTracer:
         message = net.send("a", "b", "x")
         net.send("c", "b", "y")
         env.run()
-        assert len(tracer.involving("c")) == 2
+        assert len(tracer.filter(lambda r: "c" in (r.src, r.dst))) == 2
         assert len(tracer.between(0.4, 0.6)) == 2  # the two deliveries
-        journey = tracer.message_journey(message.msg_id)
+        journey = tracer.filter(lambda r: r.msg_id == message.msg_id)
         assert [r.event for r in journey] == ["sent", "delivered"]
 
     def test_capacity_bound(self, env):

@@ -69,9 +69,10 @@ class TestCommandTracer:
         tracer.span("b", "execute", "n", 0.0, 1.0, stage=True)
         tracer.span("a", "order", "n", 0.0, 1.0)
         tracer.span("b", "queue", "n", 1.0, 2.0)
-        assert tracer.traces() == ["b", "a"]   # first-appearance order
-        assert len(tracer.spans_for("b")) == 2
-        assert [s.trace for s in tracer.stage_spans()] == ["b"]
+        grouped = spans_by_trace(tracer.spans)
+        assert list(grouped) == ["b", "a"]   # first-appearance order
+        assert len(grouped["b"]) == 2
+        assert [s.trace for s in tracer.spans if s.stage] == ["b"]
         assert len(tracer) == 3
 
     def test_spans_by_trace_preserves_order(self):

@@ -20,9 +20,9 @@ def run_workload(cluster, count=8, name="c0"):
 
 
 def build_loaded_cluster(seed=3, scheme="dssmr"):
-    from repro.harness.chaos import _reset_id_counters
+    from repro.harness.faults import reset_id_counters
 
-    _reset_id_counters()
+    reset_id_counters()
     cluster = build_cluster(scheme=scheme, num_partitions=2,
                             replicas_per_partition=2, seed=seed,
                             initial_assignment={f"k{i}": i % 2

@@ -176,9 +176,9 @@ class TestTerminalRecovery:
         """Three replicas: the primary source dies mid-transfer, but a
         fallback peer completes it — no terminal failure."""
         from repro.harness import build_cluster
-        from repro.harness.chaos import _reset_id_counters
+        from repro.harness.faults import reset_id_counters
 
-        _reset_id_counters()
+        reset_id_counters()
         cluster = build_cluster(scheme="dssmr", num_partitions=2,
                                 replicas_per_partition=3, seed=3,
                                 initial_assignment={f"k{i}": i % 2

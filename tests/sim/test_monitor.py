@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.sim import BusyTracker, Counter, LatencyRecorder, TimeSeries
-from repro.sim.monitor import area_under, merge_series
 
 
 class TestTimeSeries:
@@ -53,13 +52,6 @@ class TestCounter:
         counter.increment(1.0)
         counter.increment(2.0, amount=5)
         assert counter.total == 6
-
-    def test_rate_series(self):
-        counter = Counter()
-        counter.increment(0.2, 2)
-        counter.increment(1.7, 3)
-        rate = counter.rate_series(1.0, end=2.0)
-        assert rate.values == [2.0, 3.0]
 
 
 class TestLatencyRecorder:
@@ -218,24 +210,3 @@ class TestBusyFractionEdgeCases:
         with pytest.raises(ValueError):
             tracker.end(1.0)
 
-
-class TestHelpers:
-    def test_merge_series(self):
-        a = TimeSeries()
-        b = TimeSeries()
-        for t in (1.0, 2.0):
-            a.record(t, 1)
-            b.record(t, 2)
-        merged = merge_series([a, b])
-        assert merged.values == [3, 3]
-
-    def test_merge_rejects_mismatched_grids(self):
-        a = TimeSeries()
-        a.record(1.0, 1)
-        b = TimeSeries()
-        b.record(2.0, 1)
-        with pytest.raises(ValueError):
-            merge_series([a, b])
-
-    def test_area_under_trapezoid(self):
-        assert area_under([(0.0, 0.0), (2.0, 2.0)]) == pytest.approx(2.0)

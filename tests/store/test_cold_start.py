@@ -2,7 +2,7 @@
 (repro.store.coldstart via Cluster.cold_restart_server / power cycle)."""
 
 from repro.harness import build_cluster, cluster_invariants
-from repro.harness.chaos import _reset_id_counters
+from repro.harness.faults import reset_id_counters
 from repro.reconfig.checkpoint import state_checksum
 from repro.smr import Command
 from repro.store import DurabilityConfig
@@ -14,7 +14,7 @@ def incr(key):
 
 
 def build_durable_cluster(seed=3, scheme="dssmr", **durability_kwargs):
-    _reset_id_counters()
+    reset_id_counters()
     cluster = build_cluster(
         scheme=scheme, num_partitions=2, replicas_per_partition=2,
         seed=seed, initial_assignment={f"k{i}": i % 2 for i in range(4)},

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro import cli
+from repro.cli import CAMPAIGNS, build_parser, main
 
 
 class TestParser:
@@ -57,6 +60,28 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "tput/s" in out
+
+    def test_figure_gets_only_the_options_given_and_taken(self,
+                                                          monkeypatch):
+        calls = []
+
+        def with_duration(seed=11, duration_ms=100.0):
+            calls.append({"seed": seed, "duration_ms": duration_ms})
+            return "figure"
+
+        def without_duration(seed=12):
+            calls.append({"seed": seed})
+            return "figure"
+
+        monkeypatch.setattr(cli, "_figure_registry", lambda: {
+            "fig1": with_duration, "fig2": without_duration})
+        assert main(["figure", "fig1"]) == 0
+        assert main(["figure", "fig1", "--seed", "3",
+                     "--duration-ms", "50"]) == 0
+        assert main(["figure", "fig2", "--duration-ms", "50"]) == 0
+        assert calls == [{"seed": 11, "duration_ms": 100.0},
+                         {"seed": 3, "duration_ms": 50.0},
+                         {"seed": 12}]
 
     def test_figure_command_partitioner_only(self, capsys):
         assert main(["figure", "fig10"]) == 0
@@ -196,3 +221,16 @@ class TestQosCommand:
             assert fh.read() == first.out
         assert main(argv) == 0
         assert capsys.readouterr().out == first.out
+
+
+class TestCampaignRegistry:
+    def test_every_campaign_is_byte_compared_by_the_smoke_script(self):
+        script = (pathlib.Path(__file__).resolve().parents[1]
+                  / "scripts" / "smoke_outputs.sh").read_text()
+        for name in CAMPAIGNS:
+            assert f"repro {name} " in script, name
+
+    def test_every_campaign_is_a_subcommand(self):
+        parser = build_parser()
+        for name in CAMPAIGNS:
+            assert parser.parse_args([name]).command == name
